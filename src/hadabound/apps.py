@@ -184,7 +184,7 @@ def rank_identity_check(
     expected = min(scenario.P, scenario.K)
     if rank_numeric(gram, tau_rel) != expected:
         return False
-    return kruskal_rank(gram.entries, tau_rel, budget) == expected
+    return kruskal_rank(gram, tau_rel, budget) == expected
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,10 +318,8 @@ def cp_bound(
     hadamard_floor = mu / kappa
 
     a_gram = HermitianMatrix(scenario.a_load.T @ scenario.a_load)
-    a_vals = eigvals_hermitian(a_gram)
-    tau_a = tol_for(float(np.max(np.abs(a_vals))), tau_rel)
-    d1 = int(np.sum(np.abs(a_vals) > tau_a))
-    sigma_d1_sq = float(a_vals[d1 - 1]) if d1 >= 1 else 0.0
+    d1 = rank_numeric(a_gram, tau_rel)
+    sigma_d1_sq = float(eigvals_hermitian(a_gram)[d1 - 1]) if d1 >= 1 else 0.0
     m1_floor = sigma_d1_sq * hadamard_floor
 
     parts = cp_m1(scenario)
@@ -330,7 +328,7 @@ def cp_bound(
     rank_m1 = rank_numeric(parts.factored_form, tau_rel)
     lam_pos = float(m1_vals[rank_m1 - 1]) if rank_m1 >= 1 else 0.0
 
-    kg = kruskal_rank(g_mat.entries, tau_rel, budget)
+    kg = kruskal_rank(g_mat, tau_rel, budget)
     slack_core = tol_for(abs(lam_core), tau_rel)
     slack_m1 = tol_for(abs(lam_pos), tau_rel)
     return CpBoundReport(

@@ -171,7 +171,7 @@ def nonsingularity_predicate(
     diag = bm.diagonal()
     min_diag = float(np.min(diag))
     diag_ok = min_diag > tol_for(float(np.max(diag)), tau_rel)
-    k_a = kruskal_rank(am.entries, tau_rel, budget)
+    k_a = kruskal_rank(am, tau_rel, budget)
     r_b = rank_numeric(bm, tau_rel)
     needed = n - r_b + 1
     holds = bool(diag_ok and k_a >= needed)
@@ -389,23 +389,23 @@ def shift_construction(
     fraction: float,
     tau_rel: float = DEFAULT_TOL_REL,
     budget: int = DEFAULT_BUDGET,
-) -> HermitianMatrix:
+) -> tuple[HermitianMatrix, float]:
     """Shift A down by a fraction of its certified floor against B.
 
-    Returns C = A - c I with c = fraction * mu / kappa_eff, the largest
-    family of shifts for which the indefinite certificate still passes.
-    With fraction = 1 and singular A the result is genuinely indefinite
-    while C o B remains positive semidefinite. Raises when the certified
-    floor for (A, B) is not positive, since then no admissible shift
-    exists.
+    Returns (C, c) with C = A - c I and c = fraction * mu / kappa_eff, the
+    largest family of shifts for which the indefinite certificate still
+    passes. With fraction = 1 and singular A the result is genuinely
+    indefinite while C o B remains positive semidefinite. Raises when the
+    certified floor for (A, B) is not positive, since then no admissible
+    shift exists.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
-    report = quantitative_bound(a, b, tau_rel, budget)
+    am = as_hermitian(a)
+    report = quantitative_bound(am, b, tau_rel, budget)
     if report.quantitative_bound <= tau_rel:
         raise NotPsdError(
             f"certified floor {report.quantitative_bound!r} is not positive; no admissible shift"
         )
     c = fraction * report.mu / report.kappa_eff
-    am = as_hermitian(a)
-    return HermitianMatrix(am.entries - c * np.eye(am.n))
+    return HermitianMatrix(am.entries - c * np.eye(am.n)), c

@@ -29,6 +29,7 @@ import numpy as np
 
 from .apps import CpScenario, DoaScenario, cp_bound, doa_bound
 from .certify import (
+    BoundReport,
     classical_bound,
     indefinite_certificate,
     projection_certificate,
@@ -39,13 +40,8 @@ from .errors import (
     BudgetExceededError,
     ConvergenceError,
     DimensionError,
-    HermitianityError,
     MatrixFormatError,
-    NotProjectionError,
-    NotPsdError,
     ScenarioFormatError,
-    ZeroMatrixError,
-    ZeroPivotError,
 )
 from .matcore import HermitianMatrix, eigvals_hermitian, hadamard, tol_for
 from .selftest import run_all
@@ -56,20 +52,9 @@ from .submatrix import (
     min_submatrix_eigenvalue,
 )
 
-_INPUT_ERRORS = (
-    MatrixFormatError,
-    ScenarioFormatError,
-    DimensionError,
-    HermitianityError,
-    NotPsdError,
-    NotProjectionError,
-    ZeroMatrixError,
-    ZeroPivotError,
-    BudgetExceededError,
-    ConvergenceError,
-    FileNotFoundError,
-    ValueError,
-)
+# Every package error is a subclass of one of these; OSError covers
+# unreadable inputs and an unwritable --json path.
+_INPUT_ERRORS = (ValueError, OSError, BudgetExceededError, ConvergenceError)
 
 _TOKEN = re.compile(r"\S+")
 
@@ -148,6 +133,8 @@ def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
                     raise MatrixFormatError(
                         f"{source}:{line_no}:{col_no}: cannot parse entry {raw!r}"
                     ) from None
+            if not np.isfinite(out[r, c]):
+                raise MatrixFormatError(f"{source}:{line_no}:{col_no}: non-finite entry {raw!r}")
     return out
 
 
@@ -219,7 +206,7 @@ def load_doa_scenario(path: str) -> DoaScenario:
             omega=tuple(float(w) for w in doc["omega"]),
             sigma_s=sigma,
         )
-    except (TypeError, ValueError, DimensionError, HermitianityError, NotPsdError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
@@ -239,7 +226,7 @@ def load_cp_scenario(path: str) -> CpScenario:
             raise ScenarioFormatError(f"{path}: field 'g' must be a nonempty list of vectors")
         scores = tuple(np.asarray([float(v) for v in vec], dtype=np.float64) for vec in g_field)
         return CpScenario(d=int(doc["d"]), a_load=a.real, b_load=b.real, g=scores)
-    except (TypeError, ValueError, DimensionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
@@ -277,8 +264,14 @@ def _hermitian_from_file(path: str) -> HermitianMatrix:
     return HermitianMatrix(parse_matrix(path))
 
 
-def _report_fields(report) -> dict:
-    return dataclasses.asdict(report)
+def _verdict(fields: dict, checks) -> tuple[int, dict]:
+    """Exit code and results: verified unless a (passed, reason) check failed.
+
+    The first failing check in order supplies the reason.
+    """
+    reason = next((why for passed, why in checks if not passed), None)
+    status = "verified" if reason is None else "failed"
+    return (0 if reason is None else 1), {"status": status, "reason": reason, **fields}
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
@@ -286,36 +279,17 @@ def _cmd_bound(args) -> tuple[int, dict]:
     b = _hermitian_from_file(args.b)
     if a.n != b.n:
         raise DimensionError(f"operand sizes differ: {a.n} vs {b.n}")
-    empty = {
-        "status": None,
-        "reason": None,
-        "n": a.n,
-        "r_b": None,
-        "mu": None,
-        "kappa_eff": None,
-        "min_diag": float(np.min(b.diagonal())),
-        "classical_bound": None,
-        "quantitative_bound": None,
-        "actual_lambda_min": None,
-        "loewner_verified": None,
-        "margin": None,
-    }
     # A zero diagonal entry makes every floor vacuous; report that before
     # attempting a definiteness classification.
     diag = b.diagonal()
     if float(np.min(diag)) <= tol_for(float(np.max(np.abs(diag))), args.tol):
-        empty["status"] = "failed"
-        empty["reason"] = "min_diag is zero"
-        return 1, empty
+        empty = dict.fromkeys(f.name for f in dataclasses.fields(BoundReport))
+        empty.update(n=a.n, min_diag=float(np.min(diag)))
+        return _verdict(empty, [(False, "min_diag is zero")])
     report = quantitative_bound(a, b, args.tol, args.budget)
-    results = {"status": None, "reason": None}
-    results.update(_report_fields(report))
-    if report.loewner_verified:
-        results["status"] = "verified"
-        return 0, results
-    results["status"] = "failed"
-    results["reason"] = "ordering verification failed"
-    return 1, results
+    return _verdict(
+        dataclasses.asdict(report), [(report.loewner_verified, "ordering verification failed")]
+    )
 
 
 def _cmd_classical(args) -> tuple[int, dict]:
@@ -324,12 +298,10 @@ def _cmd_classical(args) -> tuple[int, dict]:
     value = classical_bound(a, b, args.tol)
     actual = float(eigvals_hermitian(hadamard(a, b))[-1])
     ok = value <= actual + tol_for(abs(actual), args.tol)
-    return (0 if ok else 1), {
-        "status": "verified" if ok else "failed",
-        "reason": None if ok else "bound exceeds the smallest eigenvalue",
-        "classical_bound": value,
-        "actual_lambda_min": actual,
-    }
+    return _verdict(
+        {"classical_bound": value, "actual_lambda_min": actual},
+        [(ok, "bound exceeds the smallest eigenvalue")],
+    )
 
 
 def _cmd_kruskal(args) -> tuple[int, dict]:
@@ -361,20 +333,18 @@ def _cmd_kappa(args) -> tuple[int, dict]:
     }
 
 
+def _certificate_checks(cert) -> list[tuple[bool, str]]:
+    return [
+        (cert.hypothesis_holds, "hypothesis not met"),
+        (cert.conclusion_holds, "conclusion failed"),
+    ]
+
+
 def _cmd_projection(args) -> tuple[int, dict]:
     c = _hermitian_from_file(args.c)
     p = parse_matrix(args.p)
     cert = projection_certificate(c, p, args.tol, args.budget)
-    results = {"status": None, "reason": None}
-    results.update(_report_fields(cert))
-    if cert.hypothesis_holds and cert.conclusion_holds:
-        results["status"] = "verified"
-        return 0, results
-    results["status"] = "failed"
-    results["reason"] = (
-        "hypothesis not met" if not cert.hypothesis_holds else "conclusion failed"
-    )
-    return 1, results
+    return _verdict(dataclasses.asdict(cert), _certificate_checks(cert))
 
 
 def _cmd_certify_indefinite(args) -> tuple[int, dict]:
@@ -385,50 +355,32 @@ def _cmd_certify_indefinite(args) -> tuple[int, dict]:
     elif args.a is not None:
         fraction = 1.0 if args.fraction is None else args.fraction
         a = _hermitian_from_file(args.a)
-        c = shift_construction(a, b, fraction, args.tol, args.budget)
-        rep = quantitative_bound(a, b, args.tol, args.budget)
-        shift = fraction * rep.mu / rep.kappa_eff
+        c, shift = shift_construction(a, b, fraction, args.tol, args.budget)
     else:
         raise ValueError("provide --c, or --a with an optional --fraction")
     cert = indefinite_certificate(c, b, args.tol, args.budget)
-    results = {"status": None, "reason": None, "shift": shift}
-    results.update(_report_fields(cert))
-    if cert.hypothesis_holds and cert.conclusion_holds:
-        results["status"] = "verified"
-        return 0, results
-    results["status"] = "failed"
-    results["reason"] = (
-        "hypothesis not met" if not cert.hypothesis_holds else "conclusion failed"
-    )
-    return 1, results
+    return _verdict({"shift": shift, **dataclasses.asdict(cert)}, _certificate_checks(cert))
 
 
 def _cmd_doa_bound(args) -> tuple[int, dict]:
     scenario = load_doa_scenario(args.scenario)
     report = doa_bound(scenario, args.tol, args.budget)
-    results = {"status": None, "reason": None}
-    results.update(_report_fields(report))
-    if report.bound_holds:
-        results["status"] = "verified"
-        return 0, results
-    results["status"] = "failed"
-    results["reason"] = "bound exceeds the smallest smoothed eigenvalue"
-    return 1, results
+    return _verdict(
+        dataclasses.asdict(report),
+        [(report.bound_holds, "bound exceeds the smallest smoothed eigenvalue")],
+    )
 
 
 def _cmd_cp_bound(args) -> tuple[int, dict]:
     scenario = load_cp_scenario(args.scenario)
     report = cp_bound(scenario, args.tol, args.budget)
-    results = {"status": None, "reason": None}
-    results.update(_report_fields(report))
-    if report.core_floor_holds and report.m1_floor_holds:
-        results["status"] = "verified"
-        return 0, results
-    results["status"] = "failed"
-    results["reason"] = (
-        "core floor failed" if not report.core_floor_holds else "moment floor failed"
+    return _verdict(
+        dataclasses.asdict(report),
+        [
+            (report.core_floor_holds, "core floor failed"),
+            (report.m1_floor_holds, "moment floor failed"),
+        ],
     )
-    return 1, results
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
@@ -443,13 +395,14 @@ def _cmd_selftest(args) -> tuple[int, dict]:
         for r in results
     ]
     all_passed = all(r.passed for r in results)
-    return (0 if all_passed else 1), {
-        "status": "verified" if all_passed else "failed",
-        "reason": None if all_passed else "at least one suite failed",
-        "suites": suites,
-        "total_failures": int(sum(r.failures for r in results)),
-        "all_passed": all_passed,
-    }
+    return _verdict(
+        {
+            "suites": suites,
+            "total_failures": int(sum(r.failures for r in results)),
+            "all_passed": all_passed,
+        },
+        [(all_passed, "at least one suite failed")],
+    )
 
 
 _COMMANDS = {
@@ -541,17 +494,17 @@ def dispatch(argv) -> int:
     start = time.perf_counter()
     try:
         code, results = _COMMANDS[args.command](args)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        doc = {
+            "command": args.command,
+            "inputs": _inputs_block(args),
+            "results": results,
+            "timing_ms": elapsed_ms if args.timing else None,
+        }
+        emit_report(doc, args.json_path)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    doc = {
-        "command": args.command,
-        "inputs": _inputs_block(args),
-        "results": results,
-        "timing_ms": elapsed_ms if args.timing else None,
-    }
-    emit_report(doc, args.json_path)
     return code
 
 

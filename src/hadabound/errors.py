@@ -14,6 +14,10 @@ class HermitianityError(ValueError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
+class NonFiniteError(ValueError):
+    """A matrix has a NaN or infinite entry."""
+
+
 class NotPsdError(ValueError):
     """A matrix required to be positive semidefinite classifies as indefinite."""
 

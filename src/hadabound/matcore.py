@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     HermitianityError,
+    NonFiniteError,
     NotProjectionError,
     ZeroPivotError,
 )
@@ -47,9 +49,11 @@ class HermitianMatrix:
     """Square complex matrix, validated Hermitian at construction.
 
     The entry array is normalized to complex128 and frozen read-only.
-    Conjugate symmetry is asserted within 1e-12 * max(1, max|entry|);
-    inputs further from symmetry than that are rejected rather than
-    silently symmetrized.
+    NaN and infinite entries are rejected. Conjugate symmetry is asserted
+    within 1e-12 * max(1, max|entry|); inputs further from symmetry than
+    that are rejected rather than silently symmetrized. The spectrum is
+    solved on first use and kept, so every rank, definiteness and
+    conditioning question about one carrier reads the same eigenvalues.
     """
 
     entries: np.ndarray
@@ -60,6 +64,8 @@ class HermitianMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise DimensionError("matrix must have at least one row")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("matrix has a NaN or infinite entry")
         scale = float(np.max(np.abs(arr)))
         tol = tol_for(scale, SYMMETRY_TOL_REL)
         dev = float(np.max(np.abs(arr - arr.conj().T)))
@@ -73,6 +79,13 @@ class HermitianMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in non-increasing order, read-only."""
+        vals = block_eigvals(self.entries)
+        vals.setflags(write=False)
+        return vals
 
     def diagonal(self) -> np.ndarray:
         """Real parts of the diagonal (imaginary parts are within tolerance of zero)."""
@@ -146,15 +159,6 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def _two_by_two_extremes(w: np.ndarray) -> tuple[float, float]:
-    """(largest, smallest) eigenvalue of a 2x2 Hermitian block, closed form."""
-    a = w[0, 0].real
-    d = w[1, 1].real
-    mid = 0.5 * (a + d)
-    rad = math.hypot(0.5 * (a - d), abs(w[0, 1]))
-    return mid + rad, mid - rad
-
-
 def _jacobi_sweep_values(a: np.ndarray, want_vectors: bool):
     """Cyclic Jacobi on a Hermitian array. Returns (diagonal, vectors or None).
 
@@ -213,17 +217,32 @@ def _jacobi_sweep_values(a: np.ndarray, want_vectors: bool):
     )
 
 
-def eigvals_hermitian(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted in non-increasing order."""
-    am = as_hermitian(a)
-    n = am.n
+def block_eigvals(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian array, non-increasing, without validation.
+
+    For arrays already known to be Hermitian: a carrier's entries, its
+    principal blocks and Gram matrices of its columns. Orders 1 and 2 use
+    closed forms, larger orders the Jacobi iteration.
+    """
+    n = w.shape[0]
     if n == 1:
-        return np.array([am.entries[0, 0].real])
+        return np.array([w[0, 0].real])
     if n == 2:
-        hi, lo = _two_by_two_extremes(am.entries)
-        return np.array([hi, lo])
-    diag, _ = _jacobi_sweep_values(am.entries, want_vectors=False)
+        a = w[0, 0].real
+        d = w[1, 1].real
+        mid = 0.5 * (a + d)
+        rad = math.hypot(0.5 * (a - d), abs(w[0, 1]))
+        return np.array([mid + rad, mid - rad])
+    diag, _ = _jacobi_sweep_values(w, want_vectors=False)
     return np.sort(diag)[::-1].copy()
+
+
+def eigvals_hermitian(a) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, non-increasing, read-only.
+
+    A HermitianMatrix is solved once; later calls return the same array.
+    """
+    return as_hermitian(a).eigenvalues
 
 
 def eig_hermitian(a) -> SpectralDecomposition:

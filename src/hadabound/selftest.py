@@ -148,7 +148,7 @@ def suite_indefinite_shift(rng: np.random.Generator, trials: int = 500) -> Suite
         a = gen.random_psd_with_kruskal(rng, n, r_a, m)
         b = gen.random_psd(rng, n, r_b)
         try:
-            c = shift_construction(a, b, 1.0)
+            c, _ = shift_construction(a, b, 1.0)
         except NotPsdError:
             continue  # floor collapsed below tolerance; redraw
         done += 1

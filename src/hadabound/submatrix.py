@@ -18,16 +18,18 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DimensionError,
+    HermitianityError,
     NotPsdError,
     ZeroMatrixError,
 )
 from .matcore import (
     DEFAULT_TOL_REL,
-    SYMMETRY_TOL_REL,
     HermitianMatrix,
-    _two_by_two_extremes,
     as_hermitian,
+    block_eigvals,
+    classify_psd,
     eigvals_hermitian,
+    rank_numeric,
     tol_for,
 )
 
@@ -64,27 +66,6 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
     return HermitianMatrix(am.entries[np.ix_(idx, idx)])
 
 
-def _block_lambda_min(block: np.ndarray) -> float:
-    """Smallest eigenvalue of a small Hermitian block (no carrier overhead)."""
-    m = block.shape[0]
-    if m == 1:
-        return float(block[0, 0].real)
-    if m == 2:
-        return _two_by_two_extremes(block)[1]
-    return float(eigvals_hermitian(block)[-1])
-
-
-def _block_extremes(block: np.ndarray) -> tuple[float, float]:
-    m = block.shape[0]
-    if m == 1:
-        d = float(block[0, 0].real)
-        return d, d
-    if m == 2:
-        return _two_by_two_extremes(block)
-    vals = eigvals_hermitian(block)
-    return float(vals[0]), float(vals[-1])
-
-
 @dataclasses.dataclass(frozen=True)
 class MinSubmatrixResult:
     """Minimum over all order-m principal submatrices of the smallest eigenvalue.
@@ -119,18 +100,11 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
     best_subset: tuple[int, ...] = ()
     entries = am.entries
     for subset in iter_subsets(n, m, budget):
-        lam = _block_lambda_min(entries[np.ix_(subset, subset)])
+        lam = float(block_eigvals(entries[np.ix_(subset, subset)])[-1])
         if lam < best:
             best = lam
             best_subset = subset
     return MinSubmatrixResult(float(best), best_subset, m)
-
-
-def _is_hermitian_array(arr: np.ndarray) -> bool:
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    return float(np.max(np.abs(arr - arr.conj().T))) <= tol_for(scale, SYMMETRY_TOL_REL)
 
 
 def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET) -> int:
@@ -152,17 +126,18 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
     n_cols = arr.shape[1]
 
-    hermitian_psd = False
-    if _is_hermitian_array(arr):
-        vals = eigvals_hermitian(arr)
-        if float(vals[-1]) >= -tol_for(float(vals[0]), tau_rel):
-            hermitian_psd = True
-
-    if hermitian_psd:
+    try:
+        herm = as_hermitian(mat)
+    except (DimensionError, HermitianityError):
+        herm = None
+    if herm is not None and classify_psd(herm, tau_rel).is_psd:
         for q in range(1, n_cols + 1):
             for subset in iter_subsets(n_cols, q, budget):
-                lam_max, lam_min = _block_extremes(arr[np.ix_(subset, subset)])
-                if lam_min <= tol_for(lam_max, tau_rel):
+                if q == n_cols:  # the block is the matrix itself, already solved
+                    vals = eigvals_hermitian(herm)
+                else:
+                    vals = block_eigvals(herm.entries[np.ix_(subset, subset)])
+                if vals[-1] <= tol_for(vals[0], tau_rel):
                     return q - 1
         return n_cols
 
@@ -171,7 +146,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     for q in range(1, n_cols + 1):
         for subset in iter_subsets(n_cols, q, budget):
             cols = arr[:, subset]
-            if _block_lambda_min(cols.conj().T @ cols) <= tau:
+            if block_eigvals(cols.conj().T @ cols)[-1] <= tau:
                 return q - 1
     return n_cols
 
@@ -184,13 +159,12 @@ def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:
     matrix is nonsingular and is always at least 1.
     """
     bm = as_hermitian(b)
-    vals = eigvals_hermitian(bm)
-    if float(vals[-1]) < -tol_for(float(vals[0]), tau_rel):
+    if not classify_psd(bm, tau_rel).is_psd:
         raise NotPsdError("effective condition number requires a positive semidefinite matrix")
-    tau = tol_for(float(np.max(np.abs(vals))), tau_rel)
-    r = int(np.sum(np.abs(vals) > tau))
+    r = rank_numeric(bm, tau_rel)
     if r == 0:
         raise ZeroMatrixError("matrix is numerically zero; no positive eigenvalues")
+    vals = eigvals_hermitian(bm)
     return float(vals[0] / vals[r - 1])
 
 
@@ -210,6 +184,6 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     best = math.inf
     for subset in iter_subsets(n_cols, m, budget):
         cols = arr[:, subset]
-        lam_min = _block_lambda_min(cols.conj().T @ cols)
+        lam_min = float(block_eigvals(cols.conj().T @ cols)[-1])
         best = min(best, math.sqrt(max(0.0, lam_min)))
     return float(best)

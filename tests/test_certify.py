@@ -296,7 +296,8 @@ class TestProjectionCertificate:
 
 class TestIndefiniteCertificate:
     def test_full_shift_certifies_exactly(self):
-        c = shift_construction(A, B, 1.0)
+        c, shift = shift_construction(A, B, 1.0)
+        assert shift == pytest.approx(MU2_A / KAPPA_B, abs=1e-9)
         cert = indefinite_certificate(c, B)
         assert cert.hypothesis_holds
         assert cert.conclusion_holds
@@ -311,7 +312,8 @@ class TestIndefiniteCertificate:
         assert cert.lambda_min_product >= -1e-9
 
     def test_partial_shift_keeps_slack(self):
-        c = shift_construction(A, B, 0.5)
+        c, shift = shift_construction(A, B, 0.5)
+        assert shift == pytest.approx(0.5 * MU2_A / KAPPA_B, abs=1e-9)
         cert = indefinite_certificate(c, B)
         assert cert.hypothesis_holds
         assert cert.conclusion_holds
@@ -339,12 +341,13 @@ class TestIndefiniteCertificate:
             a = random_psd(rng, n, n)
             b = random_psd(rng, n, int(rng.integers(1, n + 1)))
             try:
-                c = shift_construction(a, b, float(rng.uniform(0.1, 1.0)))
+                c, shift = shift_construction(a, b, float(rng.uniform(0.1, 1.0)))
             except NotPsdError:
                 continue
             done += 1
             cert = indefinite_certificate(c, b)
             assert cert.hypothesis_holds
             assert cert.conclusion_holds
+            np.testing.assert_allclose(np.asarray(c), a - shift * np.eye(n), atol=1e-12)
             lam = float(np.linalg.eigvalsh(np.asarray(c) * b)[0])
             assert lam >= -1e-8

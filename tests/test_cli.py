@@ -71,6 +71,9 @@ class TestMatrixFormat:
             ("n 2 2 complex\n1,2,3 0,0\n0,0 1,0\n", "malformed complex entry"),
             ("n 2 2 complex\na,b 0,0\n0,0 1,0\n", "cannot parse complex entry"),
             ("n 2 2 real\nabc 0\n0 1\n", "cannot parse entry"),
+            ("n 2 2 real\nnan 0\n0 1\n", "non-finite entry"),
+            ("n 2 2 real\n1 inf\n0 1\n", "non-finite entry"),
+            ("n 2 2 complex\n1,nan 0,0\n0,0 1,0\n", "non-finite entry"),
         ],
     )
     def test_errors_carry_location(self, text, fragment):
@@ -173,6 +176,31 @@ class TestBoundCommand:
     def test_missing_file(self, capsys):
         code, doc = run(capsys, "bound", "--a", "/no/such.mtx", "--b", "/no/such.mtx")
         assert code == 2
+
+    @pytest.mark.parametrize("command,option", [("bound", "--a"), ("doa-bound", "--scenario")])
+    def test_directory_as_input(self, tmp_path, capsys, command, option):
+        argv = [command, option, str(tmp_path)]
+        if command == "bound":
+            argv += ["--b", fixture_path("singular_pair_b.mtx")]
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        code = dispatch(
+            [
+                "bound",
+                "--a", fixture_path("singular_pair_a.mtx"),
+                "--b", fixture_path("singular_pair_b.mtx"),
+                "--json", str(tmp_path / "missing" / "r.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_malformed_matrix_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
@@ -369,3 +397,112 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert dispatch(["mu", "--a", "x.mtx"]) == 2
         capsys.readouterr()
+
+
+# Exit code and exact results of each fixture invocation; `inputs` holds
+# machine-specific paths and is left out. Fixture names stand for their
+# packaged paths.
+PINNED_RESULTS = [
+    (
+        ("bound", "--a", "singular_pair_a.mtx", "--b", "singular_pair_b.mtx"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "n": 3, "r_b": 2, '
+            '"mu": 0.3819660112501051, "kappa_eff": 5.82842712474619, "min_diag": 1.0, '
+            '"classical_bound": -8.30181712597648e-18, '
+            '"quantitative_bound": 0.06553500679940963, '
+            '"actual_lambda_min": 0.43844718719116993, "loewner_verified": true, '
+            '"margin": 0.37291218039176033}'
+        ),
+    ),
+    (
+        ("classical", "--a", "singular_pair_a.mtx", "--b", "singular_pair_b.mtx"),
+        0,
+        (
+            '{"status": "verified", "reason": null, '
+            '"classical_bound": -8.30181712597648e-18, '
+            '"actual_lambda_min": 0.43844718719116993}'
+        ),
+    ),
+    (
+        ("kruskal", "--a", "singular_pair_b.mtx"),
+        0,
+        '{"status": "computed", "reason": null, "kruskal_rank": 1}',
+    ),
+    (
+        ("mu", "--a", "singular_pair_a.mtx", "--m", "2"),
+        0,
+        (
+            '{"status": "computed", "reason": null, "value": 0.3819660112501051, '
+            '"argmin_subset": [0, 1], "m": 2}'
+        ),
+    ),
+    (
+        ("kappa", "--b", "singular_pair_b.mtx"),
+        0,
+        '{"status": "computed", "reason": null, "kappa_eff": 5.82842712474619}',
+    ),
+    (
+        ("projection", "--c", "indefinite_c.mtx", "--p", "rank2_projection_p.mtx"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "hypothesis_holds": true, '
+            '"conclusion_holds": true, "mu": 1.0, "hypothesis_threshold": -8e-09, '
+            '"lambda_min_product": 2.645914083900484, "projection_rank": 2}'
+        ),
+    ),
+    (
+        ("certify-indefinite", "--a", "singular_pair_a.mtx", "--b", "singular_pair_b.mtx"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "shift": 0.06553500679940963, '
+            '"hypothesis_holds": true, "conclusion_holds": true, '
+            '"mu": 0.3164310044506955, "required_floor": 0.31643100445069544, '
+            '"lambda_min_c": -0.06553500679940963, "kappa_eff": 5.82842712474619, '
+            '"rank_b": 2, "lambda_min_product": 0.36386256049970817}'
+        ),
+    ),
+    (
+        ("certify-indefinite", "--c", "indefinite_c.mtx", "--b", "singular_pair_b.mtx"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "shift": null, '
+            '"hypothesis_holds": true, "conclusion_holds": true, "mu": 1.0, '
+            '"required_floor": 0.30060700061033513, '
+            '"lambda_min_c": -0.062257748298549034, "kappa_eff": 5.82842712474619, '
+            '"rank_b": 2, "lambda_min_product": 1.9011164999199444}'
+        ),
+    ),
+    (
+        ("doa-bound", "--scenario", "doa_coherent_pair.json"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "r_sigma_s": 1, "m": 2, '
+            '"tilde_sigma_sq": 0.34932877018064334, "kappa_eff": 1.0, "min_diag": 1.0, '
+            '"bound": 0.34932877018064334, "lambda_min_smoothed": 0.34932877018064334, '
+            '"bound_holds": true, "positivity_predicted": true, "bound_positive": true}'
+        ),
+    ),
+    (
+        ("cp-bound", "--scenario", "cp_rank_deficient.json"),
+        0,
+        (
+            '{"status": "verified", "reason": null, "d1": 2, "d2": 1, '
+            '"mu": 0.7114322344563178, "kappa_eff": 1.0, "sigma_d1_sq": 1.0, '
+            '"hadamard_floor": 0.7114322344563178, "m1_floor": 0.7114322344563178, '
+            '"lambda_min_core": 0.7114322344563178, '
+            '"lambda_min_pos_m1": 0.7114322344563175, "kruskal_g": 2, '
+            '"condition_met": true, "core_floor_holds": true, "m1_floor_holds": true}'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,results", PINNED_RESULTS, ids=[" ".join(row[0][:2]) for row in PINNED_RESULTS]
+)
+def test_fixture_results_are_pinned(capsys, argv, code, results):
+    argv = [fixture_path(arg) if arg.endswith((".mtx", ".json")) else arg for arg in argv]
+    got, doc = run(capsys, *argv)
+    assert got == code
+    assert json.dumps(doc["results"]) == results

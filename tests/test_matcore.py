@@ -14,6 +14,7 @@ import pytest
 from hadabound.errors import (
     DimensionError,
     HermitianityError,
+    NonFiniteError,
     NotProjectionError,
     ZeroPivotError,
 )
@@ -66,6 +67,13 @@ class TestHermitianMatrix:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(HermitianityError):
             HermitianMatrix([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NonFiniteError):
+            HermitianMatrix(m)
 
     def test_rejects_complex_diagonal(self):
         with pytest.raises(HermitianityError):

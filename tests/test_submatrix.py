@@ -183,6 +183,36 @@ class TestKruskalRank:
             kruskal_rank(np.zeros((0, 0)))
 
 
+def test_blocks_of_an_accepted_matrix_are_not_revalidated():
+    """Blocks are judged at the full matrix's scale, not their own.
+
+    The 1e-9 asymmetry is within tolerance of the 1e6 diagonal entry, so
+    the matrix is accepted; blocks that leave that entry out are far
+    smaller, and checking them again at their own scale rejected them.
+    """
+    rng = np.random.default_rng(26)
+    f = rng.normal(size=(5, 5))
+    a = f @ f.T
+    a[4, 4] += 1e6
+    a[0, 1] += 1e-9
+    oracle_mu = min(
+        float(np.linalg.eigvalsh(a[np.ix_(s, s)])[0])
+        for s in itertools.combinations(range(5), 3)
+    )
+    assert min_submatrix_eigenvalue(a, 3).value == pytest.approx(oracle_mu, abs=1e-8)
+    sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
+    tau = 1e-9 * max(1.0, sigma_max)
+    oracle_k = 5
+    for q in range(1, 6):
+        if any(
+            float(np.linalg.svd(a[:, s], compute_uv=False)[-1]) <= tau
+            for s in itertools.combinations(range(5), q)
+        ):
+            oracle_k = q - 1
+            break
+    assert kruskal_rank(a) == oracle_k
+
+
 class TestEffectiveConditionNumber:
     def test_golden_singular_factor(self):
         value = effective_condition_number(B)
