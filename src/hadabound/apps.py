@@ -34,7 +34,7 @@ from .matcore import (
 )
 from .submatrix import (
     DEFAULT_BUDGET,
-    effective_condition_number,
+    floor_order,
     kruskal_rank,
     min_submatrix_eigenvalue,
     min_subset_singular_value,
@@ -146,14 +146,10 @@ def doa_bound(
     scenario: DoaScenario, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET
 ) -> DoaBoundReport:
     """Certified floor for the smoothed covariance of the given scenario."""
-    r = rank_numeric(scenario.sigma_s, tau_rel)
-    if r == 0:
-        raise ZeroMatrixError("source covariance is numerically zero")
-    m = scenario.K - r + 1
+    r, m, kappa = floor_order(scenario.sigma_s, tau_rel, "source covariance")
     v = build_steering(scenario.P, scenario.omega)
     tilde = min_subset_singular_value(v, m, budget)
     tilde_sq = tilde * tilde
-    kappa = effective_condition_number(scenario.sigma_s, tau_rel)
     min_diag = float(np.min(scenario.sigma_s.diagonal()))
     bound = tilde_sq * min_diag / kappa
     lam = float(eigvals_hermitian(smoothed_cov_direct(scenario))[-1])
@@ -214,6 +210,9 @@ class CpScenario:
         for v in scores:
             if v.shape != (self.d,):
                 raise DimensionError(f"score vectors must have length {self.d}, got {v.shape}")
+        for name, values in (("A_load", (a,)), ("B_load", (b,)), ("g", scores)):
+            if not all(np.isfinite(v).all() for v in values):
+                raise ValueError(f"{name} has a NaN or infinite entry")
         for name, mat in (("first", a), ("second", b)):
             norms = np.linalg.norm(mat, axis=0)
             if np.max(np.abs(norms - 1.0)) > 1e-9:
@@ -307,14 +306,10 @@ def cp_bound(
     btb = HermitianMatrix(scenario.b_load.T @ scenario.b_load)
     gram = _score_gram(scenario)
     g_mat = HermitianMatrix(gram)
-    d2 = rank_numeric(btb, tau_rel)
-    if d2 == 0:
-        raise ZeroMatrixError("second loading Gram matrix is numerically zero")
+    d2, m, kappa = floor_order(btb, tau_rel, "second loading Gram matrix")
     if rank_numeric(g_mat, tau_rel) == 0:
         raise ZeroMatrixError("score Gram matrix is numerically zero")
-    m = scenario.d - d2 + 1
     mu = min_submatrix_eigenvalue(g_mat, m, budget).value
-    kappa = effective_condition_number(btb, tau_rel)
     hadamard_floor = mu / kappa
 
     a_gram = HermitianMatrix(scenario.a_load.T @ scenario.a_load)

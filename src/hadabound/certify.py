@@ -24,7 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DimensionError, NotProjectionError, NotPsdError, ZeroMatrixError
+from .errors import DimensionError, NotProjectionError, NotPsdError
 from .matcore import (
     DEFAULT_TOL_REL,
     HermitianMatrix,
@@ -38,7 +38,7 @@ from .matcore import (
 )
 from .submatrix import (
     DEFAULT_BUDGET,
-    effective_condition_number,
+    floor_order,
     kruskal_rank,
     min_submatrix_eigenvalue,
 )
@@ -113,11 +113,8 @@ def quantitative_bound(
     _require_psd(am, tau_rel, "first factor")
     _require_psd(bm, tau_rel, "second factor")
     n = am.n
-    r_b = rank_numeric(bm, tau_rel)
-    if r_b == 0:
-        raise ZeroMatrixError("second factor is numerically zero")
-    mu = min_submatrix_eigenvalue(am, n - r_b + 1, budget).value
-    kappa = effective_condition_number(bm, tau_rel)
+    r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
+    mu = min_submatrix_eigenvalue(am, m, budget).value
     min_diag = float(np.min(bm.diagonal()))
     classical = float(eigvals_hermitian(am)[-1]) * min_diag
     product = hadamard(am, bm)
@@ -361,11 +358,8 @@ def indefinite_certificate(
     if cm.n != bm.n:
         raise DimensionError(f"operand sizes differ: {cm.n} vs {bm.n}")
     _require_psd(bm, tau_rel, "second factor")
-    r_b = rank_numeric(bm, tau_rel)
-    if r_b == 0:
-        raise ZeroMatrixError("second factor is numerically zero")
-    mu = min_submatrix_eigenvalue(cm, cm.n - r_b + 1, budget).value
-    kappa = effective_condition_number(bm, tau_rel)
+    r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
+    mu = min_submatrix_eigenvalue(cm, m, budget).value
     lam_c = float(eigvals_hermitian(cm)[-1])
     required = -(kappa - 1.0) * lam_c
     slack = tol_for(float(np.max(np.abs(cm.entries))), tau_rel)

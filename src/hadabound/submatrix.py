@@ -2,9 +2,9 @@
 
 Minimum submatrix eigenvalues, Kruskal rank, the effective condition
 number (largest positive eigenvalue over smallest positive eigenvalue),
-and subset singular-value minima. All subset scans run in lexicographic
-order against a hard enumeration budget, so results and reported argmin
-subsets are deterministic.
+the floor order and subset singular-value minima. All subset scans share
+one lexicographic kernel under a hard enumeration budget, so results and
+reported argmin subsets are deterministic.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ from .matcore import (
 DEFAULT_BUDGET = 2_000_000
 
 
-def subset_count(n: int, m: int) -> int:
-    return math.comb(n, m)
-
-
 def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
     """All size-m subsets of range(n), lexicographic, guarded by the budget."""
     if not 0 <= m <= n:
         raise ValueError(f"subset size {m} is out of range for ground set {n}")
-    count = subset_count(n, m)
+    count = math.comb(n, m)
     if count > budget:
         raise BudgetExceededError(
             f"enumerating C({n},{m}) = {count} subsets exceeds the budget of {budget}; "
@@ -63,7 +59,22 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
         raise ValueError(f"indices must be strictly increasing, got {idx}")
     if idx[0] < 0 or idx[-1] >= am.n:
         raise IndexError(f"indices {idx} out of range for size {am.n}")
-    return HermitianMatrix(am.entries[np.ix_(idx, idx)])
+    block = am.entries[np.ix_(idx, idx)]
+    # Exact for Hermitian blocks; spares a re-check at the block's own, smaller scale.
+    return HermitianMatrix((block + block.conj().T) / 2.0)
+
+
+def _block_spectra(n: int, m: int, budget: int, block):
+    """The one subset scan: (subset, eigenvalues of Hermitian block(subset)), lazily."""
+    for subset in iter_subsets(n, m, budget):
+        yield subset, block_eigvals(block(subset))
+
+
+def _nonempty_2d(mat) -> np.ndarray:
+    arr = np.asarray(mat, dtype=np.complex128)
+    if arr.ndim != 2 or arr.size == 0:
+        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,15 +107,12 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
     if m == n:
         value = float(eigvals_hermitian(am)[-1])
         return MinSubmatrixResult(value, tuple(range(n)), n)
-    best = math.inf
-    best_subset: tuple[int, ...] = ()
-    entries = am.entries
-    for subset in iter_subsets(n, m, budget):
-        lam = float(block_eigvals(entries[np.ix_(subset, subset)])[-1])
-        if lam < best:
-            best = lam
-            best_subset = subset
-    return MinSubmatrixResult(float(best), best_subset, m)
+    # min keeps the first of equal keys: the lexicographically first argmin.
+    subset, vals = min(
+        _block_spectra(n, m, budget, lambda s: am.entries[np.ix_(s, s)]),
+        key=lambda item: item[1][-1],
+    )
+    return MinSubmatrixResult(float(vals[-1]), subset, m)
 
 
 def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET) -> int:
@@ -114,40 +122,35 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     column subset, returning q - 1. Hermitian positive semidefinite inputs
     take a fast path: every q columns of such a matrix are independent
     exactly when the matching q x q principal submatrix is positive
-    definite, so only small blocks are examined. Other inputs fall back to
-    eigenvalues of column-subset Gram matrices, thresholded relative to
-    the largest Gram eigenvalue. Both paths therefore make the dependence
-    decision on the same quadratic scale, which keeps exactly dependent
-    subsets from being misread through the rounding noise that squaring
-    introduces. A zero column yields 0.
+    definite, judged against that block's own largest eigenvalue. Other
+    inputs, indefinite Hermitian ones included, use eigenvalues of
+    column-subset Gram matrices, judged against the largest eigenvalue of
+    the full Gram matrix. The two paths decide on different scales:
+    kruskal_rank(diag(1e3, 1e-2)) is 2 but kruskal_rank(diag(1e3, -1e-2))
+    is 0. A zero column yields 0.
     """
-    arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    arr = _nonempty_2d(mat)
     n_cols = arr.shape[1]
 
     try:
         herm = as_hermitian(mat)
     except (DimensionError, HermitianityError):
         herm = None
-    if herm is not None and classify_psd(herm, tau_rel).is_psd:
-        for q in range(1, n_cols + 1):
-            for subset in iter_subsets(n_cols, q, budget):
-                if q == n_cols:  # the block is the matrix itself, already solved
-                    vals = eigvals_hermitian(herm)
-                else:
-                    vals = block_eigvals(herm.entries[np.ix_(subset, subset)])
-                if vals[-1] <= tol_for(vals[0], tau_rel):
-                    return q - 1
-        return n_cols
-
-    lam_max = max(0.0, float(eigvals_hermitian(arr.conj().T @ arr)[0]))
-    tau = tol_for(lam_max, tau_rel)
+    psd = herm is not None and classify_psd(herm, tau_rel).is_psd
+    if psd:
+        block = lambda s: herm.entries[np.ix_(s, s)]
+        dependent = lambda vals: vals[-1] <= tol_for(vals[0], tau_rel)
+    else:
+        tau = tol_for(max(0.0, float(eigvals_hermitian(arr.conj().T @ arr)[0])), tau_rel)
+        block = lambda s: arr[:, s].conj().T @ arr[:, s]
+        dependent = lambda vals: vals[-1] <= tau
     for q in range(1, n_cols + 1):
-        for subset in iter_subsets(n_cols, q, budget):
-            cols = arr[:, subset]
-            if block_eigvals(cols.conj().T @ cols)[-1] <= tau:
-                return q - 1
+        if psd and q == n_cols:  # the block is the matrix itself, already solved
+            spectra = [eigvals_hermitian(herm)]
+        else:
+            spectra = (vals for _, vals in _block_spectra(n_cols, q, budget, block))
+        if any(map(dependent, spectra)):
+            return q - 1
     return n_cols
 
 
@@ -168,6 +171,15 @@ def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:
     return float(vals[0] / vals[r - 1])
 
 
+def floor_order(b, tau_rel: float, label: str) -> tuple[int, int, float]:
+    """Rank r of B, the floor's order n - r + 1 and kappa_eff(B); refuses a zero B."""
+    bm = as_hermitian(b)
+    rank = rank_numeric(bm, tau_rel)
+    if rank == 0:
+        raise ZeroMatrixError(f"{label} is numerically zero")
+    return rank, bm.n - rank + 1, effective_condition_number(bm, tau_rel)
+
+
 def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     """Minimum over all m-column subsets of the smallest singular value.
 
@@ -175,15 +187,10 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     selected columns; negative rounding noise is clamped at zero before the
     square root.
     """
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    arr = _nonempty_2d(v)
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")
-    best = math.inf
-    for subset in iter_subsets(n_cols, m, budget):
-        cols = arr[:, subset]
-        lam_min = float(block_eigvals(cols.conj().T @ cols)[-1])
-        best = min(best, math.sqrt(max(0.0, lam_min)))
-    return float(best)
+    gram = lambda s: arr[:, s].conj().T @ arr[:, s]
+    lam_min = min(vals[-1] for _, vals in _block_spectra(n_cols, m, budget, gram))
+    return math.sqrt(max(0.0, float(lam_min)))

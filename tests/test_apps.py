@@ -183,6 +183,17 @@ class TestCpScenario:
             CpScenario(d=2, a_load=ORTHO_A, b_load=RANK1_B, g=(np.ones(3),))
         with pytest.raises(ValueError):
             CpScenario(d=2, a_load=ORTHO_A, b_load=RANK1_B, g=())
+        nan_a = ORTHO_A.copy()
+        nan_a[0, 0] = math.nan
+        with pytest.raises(ValueError, match="A_load"):
+            CpScenario(d=2, a_load=nan_a, b_load=RANK1_B, g=SCORES)
+        inf_b = RANK1_B.copy()
+        inf_b[1, 1] = math.inf
+        with pytest.raises(ValueError, match="B_load"):
+            CpScenario(d=2, a_load=ORTHO_A, b_load=inf_b, g=SCORES)
+        nan_g = (SCORES[0], np.array([0.1, math.nan]))
+        with pytest.raises(ValueError, match="g has a NaN"):
+            CpScenario(d=2, a_load=ORTHO_A, b_load=RANK1_B, g=nan_g)
 
 
 class TestCpM1:

@@ -373,6 +373,23 @@ class TestScenarioCommands:
         assert code == 2
         assert "unit norm" in capsys.readouterr().err
 
+    def test_cp_non_finite_loading(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "d": 2,
+                    "A_load": [[math.nan, 0.0], [0.0, 1.0]],
+                    "B_load": [[1.0, 0.0], [0.0, 1.0]],
+                    "g": [[1.0, 1.0]],
+                }
+            )
+        )
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "A_load has a NaN or infinite entry" in err
+
 
 class TestSelftestCommand:
     def test_small_scale_run_passes(self, capsys):

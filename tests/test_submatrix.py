@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hadabound.apps import DoaScenario, build_steering, doa_bound
 from hadabound.errors import (
     BudgetExceededError,
     DimensionError,
@@ -25,7 +26,6 @@ from hadabound.submatrix import (
     min_submatrix_eigenvalue,
     min_subset_singular_value,
     principal_submatrix,
-    subset_count,
 )
 
 A = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
@@ -40,8 +40,8 @@ def random_hermitian(rng, n):
 
 class TestSubsetEnumeration:
     def test_count(self):
-        assert subset_count(5, 2) == 10
-        assert subset_count(6, 0) == 1
+        assert len(list(iter_subsets(5, 2))) == 10
+        assert list(iter_subsets(6, 0)) == [()]
 
     def test_lexicographic_order(self):
         assert list(iter_subsets(4, 2)) == [
@@ -200,6 +200,9 @@ def test_blocks_of_an_accepted_matrix_are_not_revalidated():
         for s in itertools.combinations(range(5), 3)
     )
     assert min_submatrix_eigenvalue(a, 3).value == pytest.approx(oracle_mu, abs=1e-8)
+    block = principal_submatrix(a, (0, 1, 2)).entries
+    np.testing.assert_allclose(block.real, a[:3, :3], atol=1e-9)
+    np.testing.assert_array_equal(block, block.conj().T)
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
     tau = 1e-9 * max(1.0, sigma_max)
     oracle_k = 5
@@ -279,3 +282,63 @@ class TestMinSubsetSingularValue:
             min_subset_singular_value(np.eye(3), 4)
         with pytest.raises(DimensionError):
             min_subset_singular_value(np.zeros((0, 2)), 1)
+
+
+class TestPinnedScans:
+    """Exact scan outputs at n = 8, so a rewrite of the scan shows any bit it moves.
+
+    Values are reprs: equal reprs mean equal floats. Each pin was taken
+    from the per-subset Jacobi scan in lexicographic order; a kernel that
+    changes rounding must update them deliberately.
+    """
+
+    @staticmethod
+    def psd_input():
+        rng = np.random.default_rng(801)
+        f = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+        return f @ f.conj().T
+
+    @staticmethod
+    def indefinite_input():
+        rng = np.random.default_rng(802)
+        h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        return (h + h.conj().T) / 2.0
+
+    @staticmethod
+    def doa_scenario():
+        rng = np.random.default_rng(804)
+        f = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        omega = tuple(-3.0 + 0.7 * k for k in range(8))
+        return DoaScenario(N=12, K=8, P=6, omega=omega, sigma_s=f @ f.conj().T)
+
+    @pytest.mark.parametrize(
+        "kind,m,value,subset",
+        [
+            ("psd", 3, "1.6234454623640615", (5, 6, 7)),
+            ("psd", 4, "0.6327217696268869", (0, 2, 4, 7)),
+            ("psd", 5, "0.1498861848520704", (0, 2, 3, 4, 7)),
+            ("psd", 6, "0.05525022255999848", (0, 1, 2, 3, 4, 7)),
+            ("indefinite", 3, "-3.2372099961206984", (1, 5, 6)),
+            ("indefinite", 4, "-3.607094261827309", (1, 2, 5, 6)),
+            ("indefinite", 5, "-3.6714520050723447", (1, 2, 4, 5, 6)),
+            ("indefinite", 6, "-3.7432088675315995", (1, 2, 4, 5, 6, 7)),
+        ],
+    )
+    def test_mu_and_argmin(self, kind, m, value, subset):
+        a = self.psd_input() if kind == "psd" else self.indefinite_input()
+        res = min_submatrix_eigenvalue(a, m)
+        assert (repr(res.value), res.argmin_subset) == (value, subset)
+
+    def test_kruskal_rank(self):
+        assert kruskal_rank(self.psd_input()) == 6
+        rng = np.random.default_rng(803)
+        v = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+        assert kruskal_rank(v) == 4
+
+    def test_subset_singular_value_and_doa(self):
+        scenario = self.doa_scenario()
+        v = build_steering(scenario.P, scenario.omega)
+        assert repr(min_subset_singular_value(v, 5)) == "0.4361344171203746"
+        report = doa_bound(scenario)
+        assert report.m == 5
+        assert repr(report.tilde_sigma_sq) == "0.1902132297969289"
