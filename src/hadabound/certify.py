@@ -52,14 +52,20 @@ def _require_psd(m: HermitianMatrix, tau_rel: float, label: str) -> None:
         )
 
 
-def classical_bound(a, b, tau_rel: float = DEFAULT_TOL_REL) -> float:
-    """Floor lambda_min(A) * min_i b_ii for positive semidefinite A and B."""
+def _psd_pair(a, b, tau_rel: float) -> tuple[HermitianMatrix, HermitianMatrix]:
+    """Carriers of two same-size factors, the first and then the second checked PSD."""
     am = as_hermitian(a)
     bm = as_hermitian(b)
     if am.n != bm.n:
         raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
     _require_psd(am, tau_rel, "first factor")
     _require_psd(bm, tau_rel, "second factor")
+    return am, bm
+
+
+def classical_bound(a, b, tau_rel: float = DEFAULT_TOL_REL) -> float:
+    """Floor lambda_min(A) * min_i b_ii for positive semidefinite A and B."""
+    am, bm = _psd_pair(a, b, tau_rel)
     return float(eigvals_hermitian(am)[-1]) * float(np.min(bm.diagonal()))
 
 
@@ -106,17 +112,11 @@ def quantitative_bound(
     strictly positive whenever every principal submatrix of A of order
     n - rank(B) + 1 is positive definite and B has a positive diagonal.
     """
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
-    if am.n != bm.n:
-        raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
-    _require_psd(am, tau_rel, "first factor")
-    _require_psd(bm, tau_rel, "second factor")
+    am, bm = _psd_pair(a, b, tau_rel)
     n = am.n
     r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
     mu = min_submatrix_eigenvalue(am, m, budget).value
     min_diag = float(np.min(bm.diagonal()))
-    classical = float(eigvals_hermitian(am)[-1]) * min_diag
     product = hadamard(am, bm)
     actual = float(eigvals_hermitian(product)[-1])
     quantitative = mu * min_diag / kappa
@@ -128,7 +128,7 @@ def quantitative_bound(
         mu=float(mu),
         kappa_eff=float(kappa),
         min_diag=min_diag,
-        classical_bound=classical,
+        classical_bound=classical_bound(am, bm, tau_rel),
         quantitative_bound=float(quantitative),
         actual_lambda_min=actual,
         loewner_verified=bool(verified),
@@ -158,12 +158,7 @@ def nonsingularity_predicate(
     a, b, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET
 ) -> NonsingularityCheck:
     """Evaluate the diagonal-and-Kruskal-rank sufficient condition."""
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
-    if am.n != bm.n:
-        raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
-    _require_psd(am, tau_rel, "first factor")
-    _require_psd(bm, tau_rel, "second factor")
+    am, bm = _psd_pair(a, b, tau_rel)
     n = am.n
     diag = bm.diagonal()
     min_diag = float(np.min(diag))
@@ -395,11 +390,11 @@ def shift_construction(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
-    am = as_hermitian(a)
-    report = quantitative_bound(am, b, tau_rel, budget)
-    if report.quantitative_bound <= tau_rel:
-        raise NotPsdError(
-            f"certified floor {report.quantitative_bound!r} is not positive; no admissible shift"
-        )
-    c = fraction * report.mu / report.kappa_eff
+    am, bm = _psd_pair(a, b, tau_rel)
+    _, m, kappa = floor_order(bm, tau_rel, "second factor")
+    mu = min_submatrix_eigenvalue(am, m, budget).value
+    floor = mu * float(np.min(bm.diagonal())) / kappa
+    if floor <= tau_rel:
+        raise NotPsdError(f"certified floor {floor!r} is not positive; no admissible shift")
+    c = fraction * mu / kappa
     return HermitianMatrix(am.entries - c * np.eye(am.n)), c

@@ -18,6 +18,7 @@ report's results.reason says which), 2 for input or usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import re
@@ -61,6 +62,10 @@ _TOKEN = re.compile(r"\S+")
 
 def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
     """Parse the matrix file format; errors carry line/column locations."""
+
+    def error(line_no: int, col_no: int, what: str) -> MatrixFormatError:
+        return MatrixFormatError(f"{source}:{line_no}:{col_no}: {what}")
+
     lines = text.splitlines()
     header_idx = None
     for idx, line in enumerate(lines):
@@ -68,28 +73,21 @@ def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
             header_idx = idx
             break
     if header_idx is None:
-        raise MatrixFormatError(f"{source}:1:1: empty file")
+        raise error(1, 1, "empty file")
+    header_no = header_idx + 1
     header = lines[header_idx].split()
     if len(header) != 4 or header[0] != "n":
-        raise MatrixFormatError(
-            f"{source}:{header_idx + 1}:1: header must be 'n <rows> <cols> <real|complex>'"
-        )
+        raise error(header_no, 1, "header must be 'n <rows> <cols> <real|complex>'")
     try:
         rows, cols = int(header[1]), int(header[2])
     except ValueError:
-        raise MatrixFormatError(
-            f"{source}:{header_idx + 1}:3: row and column counts must be integers"
-        ) from None
+        raise error(header_no, 3, "row and column counts must be integers") from None
     kind = header[3]
     if kind not in ("real", "complex"):
-        raise MatrixFormatError(
-            f"{source}:{header_idx + 1}:{lines[header_idx].find(kind) + 1}: "
-            f"entry kind must be 'real' or 'complex', got {kind!r}"
-        )
+        col_no = lines[header_idx].find(kind) + 1
+        raise error(header_no, col_no, f"entry kind must be 'real' or 'complex', got {kind!r}")
     if rows < 1 or cols < 1:
-        raise MatrixFormatError(
-            f"{source}:{header_idx + 1}:3: row and column counts must be positive"
-        )
+        raise error(header_no, 3, "row and column counts must be positive")
 
     body = [
         (idx, line)
@@ -97,50 +95,42 @@ def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
         if line.strip()
     ]
     if len(body) != rows:
-        raise MatrixFormatError(
-            f"{source}:{header_idx + 1}:1: expected {rows} data rows, found {len(body)}"
-        )
+        raise error(header_no, 1, f"expected {rows} data rows, found {len(body)}")
     out = np.zeros((rows, cols), dtype=np.complex128)
     for r, (line_no, line) in enumerate(body):
         tokens = list(_TOKEN.finditer(line))
         if len(tokens) != cols:
-            raise MatrixFormatError(
-                f"{source}:{line_no}:1: expected {cols} entries, found {len(tokens)}"
-            )
+            raise error(line_no, 1, f"expected {cols} entries, found {len(tokens)}")
         for c, tok in enumerate(tokens):
             col_no = tok.start() + 1
             raw = tok.group()
             if "," in raw:
                 if kind != "complex":
-                    raise MatrixFormatError(
-                        f"{source}:{line_no}:{col_no}: complex entry {raw!r} in a real matrix"
-                    )
+                    raise error(line_no, col_no, f"complex entry {raw!r} in a real matrix")
                 parts = raw.split(",")
                 if len(parts) != 2:
-                    raise MatrixFormatError(
-                        f"{source}:{line_no}:{col_no}: malformed complex entry {raw!r}"
-                    )
+                    raise error(line_no, col_no, f"malformed complex entry {raw!r}")
                 try:
                     out[r, c] = complex(float(parts[0]), float(parts[1]))
                 except ValueError:
-                    raise MatrixFormatError(
-                        f"{source}:{line_no}:{col_no}: cannot parse complex entry {raw!r}"
-                    ) from None
+                    raise error(line_no, col_no, f"cannot parse complex entry {raw!r}") from None
             else:
                 try:
                     out[r, c] = float(raw)
                 except ValueError:
-                    raise MatrixFormatError(
-                        f"{source}:{line_no}:{col_no}: cannot parse entry {raw!r}"
-                    ) from None
+                    raise error(line_no, col_no, f"cannot parse entry {raw!r}") from None
             if not np.isfinite(out[r, c]):
-                raise MatrixFormatError(f"{source}:{line_no}:{col_no}: non-finite entry {raw!r}")
+                raise error(line_no, col_no, f"non-finite entry {raw!r}")
     return out
 
 
 def parse_matrix(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"{path}: {exc}") from None
+    return parse_matrix_text(text, source=path)
 
 
 def format_matrix(arr) -> str:
@@ -185,19 +175,26 @@ def _complex_array(obj, field: str) -> np.ndarray:
         raise ScenarioFormatError(f"field {field!r}: ragged rows ({exc})") from None
 
 
-def _require_fields(doc: dict, fields: tuple[str, ...], source: str) -> None:
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise ScenarioFormatError(f"{source}: missing fields {missing}")
+@contextlib.contextmanager
+def _scenario(path: str, fields: tuple[str, ...]):
+    """The JSON object in path, with its fields; every error names the file once."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ScenarioFormatError("scenario must be a JSON object")
+        missing = [f for f in fields if f not in doc]
+        if missing:
+            raise ScenarioFormatError(f"missing fields {missing}")
+        yield doc
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def load_doa_scenario(path: str) -> DoaScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{path}: scenario must be a JSON object")
-    _require_fields(doc, ("N", "K", "P", "omega", "sigma_s"), path)
-    try:
+    with _scenario(path, ("N", "K", "P", "omega", "sigma_s")) as doc:
         sigma = HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s"))
         return DoaScenario(
             N=int(doc["N"]),
@@ -206,28 +203,19 @@ def load_doa_scenario(path: str) -> DoaScenario:
             omega=tuple(float(w) for w in doc["omega"]),
             sigma_s=sigma,
         )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def load_cp_scenario(path: str) -> CpScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{path}: scenario must be a JSON object")
-    _require_fields(doc, ("d", "A_load", "B_load", "g"), path)
-    try:
+    with _scenario(path, ("d", "A_load", "B_load", "g")) as doc:
         a = _complex_array(doc["A_load"], "A_load")
         b = _complex_array(doc["B_load"], "B_load")
         if np.any(a.imag != 0.0) or np.any(b.imag != 0.0):
-            raise ScenarioFormatError(f"{path}: loadings must be real")
+            raise ScenarioFormatError("loadings must be real")
         g_field = doc["g"]
         if not isinstance(g_field, list) or not g_field:
-            raise ScenarioFormatError(f"{path}: field 'g' must be a nonempty list of vectors")
+            raise ScenarioFormatError("field 'g' must be a nonempty list of vectors")
         scores = tuple(np.asarray([float(v) for v in vec], dtype=np.float64) for vec in g_field)
         return CpScenario(d=int(doc["d"]), a_load=a.real, b_load=b.real, g=scores)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def fixture_path(name: str) -> str:
@@ -312,8 +300,6 @@ def _cmd_kruskal(args) -> tuple[int, dict]:
 
 def _cmd_mu(args) -> tuple[int, dict]:
     a = _hermitian_from_file(args.a)
-    if args.m is None:
-        raise ValueError("--m is required for this command")
     result = min_submatrix_eigenvalue(a, args.m, args.budget)
     return 0, {
         "status": "computed",
@@ -419,6 +405,17 @@ _COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a number strictly between 0 and 1, so never nan or infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadabound",
@@ -427,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-9, help="relative tolerance in (0, 1)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="subset budget")
         p.add_argument("--json", dest="json_path", default=None, help="write the report here")
         p.add_argument("--timing", action="store_true", help="include wall time in the report")

@@ -63,7 +63,7 @@ def random_psd_with_kruskal(
         raise ValueError(f"cannot demand Kruskal rank {min_kruskal} above rank {rank}")
     for _ in range(MAX_REJECTION_ATTEMPTS):
         cand = random_psd(rng, n, rank)
-        if kruskal_rank(cand.entries) >= min_kruskal:
+        if kruskal_rank(cand) >= min_kruskal:
             return cand
     raise RuntimeError("rejection sampling failed to reach the requested Kruskal rank")
 

@@ -26,6 +26,8 @@ from hadabound.errors import (
     NotPsdError,
     ZeroMatrixError,
 )
+from hadabound import matcore
+from hadabound.generators import random_psd_with_kruskal
 from hadabound.matcore import PsdKind, classify_psd, hadamard
 from hadabound.submatrix import min_submatrix_eigenvalue
 
@@ -351,3 +353,55 @@ class TestIndefiniteCertificate:
             np.testing.assert_allclose(np.asarray(c), a - shift * np.eye(n), atol=1e-12)
             lam = float(np.linalg.eigvalsh(np.asarray(c) * b)[0])
             assert lam >= -1e-8
+
+
+class TestSolveCounts:
+    """Full-size Jacobi solves per call: each factor's spectrum is solved once."""
+
+    N = 6
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        real = matcore._jacobi_sweep_values
+        arrays = []
+
+        def counting(a, want_vectors):
+            arrays.append(np.array(a))
+            return real(a, want_vectors)
+
+        monkeypatch.setattr(matcore, "_jacobi_sweep_values", counting)
+        return arrays
+
+    def pair(self):
+        # rank B = 3, so the scan order is 4 and scan blocks stay below order N;
+        # rank A = 4 keeps the Kruskal walk of A below order N as well.
+        rng = np.random.default_rng(61)
+        return random_psd(rng, self.N, 4), random_psd(rng, self.N, 3)
+
+    @pytest.mark.parametrize(
+        "call,expected",
+        [
+            (lambda a, b: quantitative_bound(a, b), 4),
+            (lambda a, b: classical_bound(a, b), 2),
+            (lambda a, b: nonsingularity_predicate(a, b), 2),
+            (lambda a, b: indefinite_certificate(a, b), 3),
+            (lambda a, b: shift_construction(a, b, 1.0), 2),
+        ],
+        ids=[
+            "quantitative_bound",
+            "classical_bound",
+            "nonsingularity_predicate",
+            "indefinite_certificate",
+            "shift_construction",
+        ],
+    )
+    def test_full_size_solves(self, solves, call, expected):
+        a, b = self.pair()
+        call(a, b)
+        assert sum(arr.shape[0] == self.N for arr in solves) == expected
+
+    def test_generated_factor_is_solved_once(self, solves):
+        _, b = self.pair()
+        a = random_psd_with_kruskal(np.random.default_rng(62), self.N, 4, 4)
+        shift_construction(a, b, 1.0)
+        assert sum(np.array_equal(arr, a.entries) for arr in solves) == 1

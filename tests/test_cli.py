@@ -209,6 +209,15 @@ class TestBoundCommand:
         assert code == 2
         assert "expected 2 data rows" in capsys.readouterr().err
 
+    def test_non_utf8_matrix_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(b"n 1 1 real\n\xff\n")
+        code = dispatch(["kruskal", "--a", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+
 
 class TestScalarCommands:
     def test_classical(self, capsys):
@@ -373,6 +382,38 @@ class TestScenarioCommands:
         assert code == 2
         assert "unit norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "a_load,g,message",
+        [
+            ([[[1.0, 1.0], 0.0], [0.0, 1.0]], [[1.0, 1.0]], "loadings must be real"),
+            ([[1.0, 0.0], [0.0, 1.0]], [], "field 'g' must be a nonempty list of vectors"),
+        ],
+        ids=["complex loading", "empty g"],
+    )
+    def test_cp_errors_name_the_file_once(self, tmp_path, capsys, a_load, g, message):
+        path = tmp_path / "s.json"
+        doc = {"d": 2, "A_load": a_load, "B_load": [[1.0, 0.0], [0.0, 1.0]], "g": g}
+        path.write_text(json.dumps(doc))
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_malformed_json_carries_location(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"N": 4,\n x}')
+        code = dispatch(["doa-bound", "--scenario", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2:2: Expecting property name")
+
+    def test_non_utf8_scenario_is_named(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"d": \xff}')
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
     def test_cp_non_finite_loading(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(
@@ -414,6 +455,32 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert dispatch(["mu", "--a", "x.mtx"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1"])
+    def test_tolerance_outside_open_unit_interval(self, capsys, tol):
+        code = dispatch(
+            [
+                "bound",
+                "--a", fixture_path("singular_pair_a.mtx"),
+                "--b", fixture_path("singular_pair_b.mtx"),
+                f"--tol={tol}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_small_tolerance_still_runs(self, capsys):
+        code, doc = run(
+            capsys,
+            "bound",
+            "--a", fixture_path("singular_pair_a.mtx"),
+            "--b", fixture_path("singular_pair_b.mtx"),
+            "--tol", "1e-6",
+        )
+        assert code == 0
+        assert doc["inputs"]["tol"] == 1e-6
 
 
 # Exit code and exact results of each fixture invocation; `inputs` holds
