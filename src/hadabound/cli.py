@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import re
 import sys
 import time
@@ -405,15 +406,23 @@ _COMMANDS = {
 }
 
 
-def _tolerance(text: str) -> float:
-    """--tol: a number strictly between 0 and 1, so never nan or infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
-    return value
+def _number_between(low: float, high: float, what: str):
+    """Argparse type: a number strictly between low and high, so never nan."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _number_between(0.0, 1.0, "a number in (0, 1)")
+_scale = _number_between(0.0, math.inf, "a finite number above 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0, help="trial count multiplier")
+    p.add_argument("--scale", type=_scale, default=1.0, help="trial count multiplier (> 0)")
     common(p)
 
     return parser

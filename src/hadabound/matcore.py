@@ -7,6 +7,13 @@ no threading), so identical inputs produce bit-identical spectra. Library
 decompositions are deliberately not used on this path; they serve as
 independent oracles in the test suite instead.
 
+It runs in two forms. A single matrix (a carrier's spectrum, eig_hermitian)
+is solved by _jacobi_sweep_values. A stack of blocks of one order (the
+subset scans) is solved by stack_eigvals, which vectorizes the same
+iteration across the stack: the same sweep order and thresholds, with
+convergence judged per block, so each block's spectrum is bit-identical to
+its single-matrix solve.
+
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
 symmetry checks to 1e-12.
@@ -17,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -235,6 +243,110 @@ def block_eigvals(w: np.ndarray) -> np.ndarray:
         return np.array([mid + rad, mid - rad])
     diag, _ = _jacobi_sweep_values(w, want_vectors=False)
     return np.sort(diag)[::-1].copy()
+
+
+def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
+    """Per block of a stack: is the off-diagonal Frobenius mass <= off_tol?
+
+    Decides exactly as the single-matrix test in _jacobi_sweep_values. Two
+    sums of the 2 n^2 squares, in any order, differ by less than 2 n^2 + 1
+    units of eps relative to the sum, so a vectorized sum settles every
+    block clearly on one side of the threshold. Blocks inside that band,
+    or near underflow, are measured again with the single-matrix norm.
+    """
+    n = w.shape[1]
+    off = w.copy()
+    off[:, range(n), range(n)] = 0.0
+    est = np.einsum("kij,kij->k", off.real, off.real) + np.einsum("kij,kij->k", off.imag, off.imag)
+    tol2 = off_tol * off_tol
+    band = 8 * n * n * np.finfo(float).eps * (est + tol2) + 1e-300
+    within = est < tol2 - band
+    for i in np.flatnonzero(np.abs(est - tol2) <= band):
+        within[i] = float(np.linalg.norm(off[i])) <= off_tol[i]
+    return within
+
+
+def _hypot_one(x: np.ndarray) -> np.ndarray:
+    """math.hypot(1, x) elementwise; np.hypot rounds differently."""
+    return np.fromiter(map(math.hypot, itertools.repeat(1.0), x.tolist()), float, x.size)
+
+
+def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
+    """One cyclic Jacobi sweep over every block of a stack, in place.
+
+    The steps of _jacobi_sweep_values, elementwise across the stack: a
+    block whose |a_pq| is at most its skip_tol is left as it is at (p, q).
+    """
+    n = w.shape[1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = w[:, p, q]
+            # np.abs of a complex array rounds differently from scalar abs.
+            r = np.hypot(apq.real, apq.imag)
+            on = r > skip_tol
+            if on.all():
+                sel = slice(None)
+            elif on.any():
+                sel = np.flatnonzero(on)
+                apq, r = apq[sel], r[sel]
+            else:
+                continue
+            phase = apq / r
+            tau = (w[sel, q, q].real - w[sel, p, p].real) / (2.0 * r)
+            t = -np.copysign(1.0, tau) / (np.abs(tau) + _hypot_one(tau))
+            c = 1.0 / _hypot_one(t)
+            s = t * c
+            # The scalar path's products, in its order: (s * phase) * column.
+            c = c[:, None]
+            phase_conj = np.conj(phase)
+            s_conj = (s * phase_conj)[:, None]
+            s_phase = (s * phase)[:, None]
+            ms_phase = (-s * phase)[:, None]
+            ms_conj = (-s * phase_conj)[:, None]
+            col_p = w[sel, :, p].copy()
+            col_q = w[sel, :, q].copy()
+            w[sel, :, p] = c * col_p + s_conj * col_q
+            w[sel, :, q] = ms_phase * col_p + c * col_q
+            row_p = w[sel, p, :].copy()
+            row_q = w[sel, q, :].copy()
+            w[sel, p, :] = c * row_p + s_phase * row_q
+            w[sel, q, :] = ms_conj * row_p + c * row_q
+            w[sel, p, q] = 0.0
+            w[sel, q, p] = 0.0
+            w[sel, p, p] = w[sel, p, p].real
+            w[sel, q, q] = w[sel, q, q].real
+
+
+def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
+
+    Row i is bit-identical to block_eigvals(blocks[i]). Orders 1 and 2 use
+    its closed forms; larger orders run the same cyclic Jacobi iteration,
+    vectorized across the stack only: the same (p, q) order, each block's
+    own convergence and skip thresholds, its convergence tested at the
+    start of each sweep, and the same ConvergenceError. A converged block
+    leaves the stack.
+    """
+    k, n = blocks.shape[0], blocks.shape[1]
+    if n <= 2:
+        return np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
+    w = np.array(blocks, dtype=np.complex128)
+    off_tol = JACOBI_OFF_REL * np.array([float(np.linalg.norm(b)) for b in w])
+    skip_tol = off_tol / max(1, n)
+    diag = np.empty((k, n))
+    live = np.arange(k)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        done = _off_mass_within(w, off_tol)
+        if done.any():
+            diag[live[done]] = w[done].diagonal(axis1=1, axis2=2).real
+            keep = ~done
+            w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
+            if live.size == 0:
+                return np.sort(diag, axis=1)[:, ::-1].copy()
+        _stack_sweep(w, skip_tol)
+    raise ConvergenceError(
+        f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
+    )
 
 
 def eigvals_hermitian(a) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConvergenceError,
     DimensionError,
     HermitianityError,
     NotPsdError,
@@ -30,10 +31,13 @@ from .matcore import (
     classify_psd,
     eigvals_hermitian,
     rank_numeric,
+    stack_eigvals,
     tol_for,
 )
 
 DEFAULT_BUDGET = 2_000_000
+# Largest stack one scan solves at once; bounds the scan's memory.
+SCAN_CHUNK_MAX = 256
 
 
 def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
@@ -65,9 +69,23 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
 
 
 def _block_spectra(n: int, m: int, budget: int, block):
-    """The one subset scan: (subset, eigenvalues of Hermitian block(subset)), lazily."""
-    for subset in iter_subsets(n, m, budget):
-        yield subset, block_eigvals(block(subset))
+    """The one subset scan: (subset, eigenvalues of Hermitian block(subset)), lazily.
+
+    Subsets are drawn from iter_subsets in chunks of 1, 2, 4, ... up to
+    SCAN_CHUNK_MAX and each chunk is solved as one stack, so a consumer
+    that stops at the first subset has drawn and solved only that one.
+    """
+    subsets = iter_subsets(n, m, budget)
+    size = 1
+    while chunk := list(itertools.islice(subsets, size)):
+        stack = np.array([block(subset) for subset in chunk])
+        try:
+            spectra = stack_eigvals(stack)
+        except ConvergenceError:
+            # Solve one by one, so the blocks before the failing one still come out.
+            spectra = map(block_eigvals, stack)
+        yield from zip(chunk, spectra)
+        size = min(2 * size, SCAN_CHUNK_MAX)
 
 
 def _nonempty_2d(mat) -> np.ndarray:

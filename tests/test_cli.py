@@ -471,6 +471,14 @@ class TestUsage:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "x"])
+    def test_scale_not_a_finite_positive_number(self, capsys, scale):
+        code = dispatch(["selftest", f"--scale={scale}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--scale" in captured.err
+
     def test_small_tolerance_still_runs(self, capsys):
         code, doc = run(
             capsys,

@@ -6,12 +6,15 @@ seeded random instances and compare against numpy's LAPACK eigensolver,
 which shares no code with the package's Jacobi iteration.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hadabound import matcore
 from hadabound.errors import (
+    ConvergenceError,
     DimensionError,
     HermitianityError,
     NonFiniteError,
@@ -23,6 +26,7 @@ from hadabound.matcore import (
     PsdKind,
     SpectralDecomposition,
     as_hermitian,
+    block_eigvals,
     classify_psd,
     eig_hermitian,
     eigvals_hermitian,
@@ -30,8 +34,10 @@ from hadabound.matcore import (
     is_orthogonal_projection,
     rank_numeric,
     schur_complement,
+    stack_eigvals,
     tol_for,
 )
+from hadabound.submatrix import min_submatrix_eigenvalue
 
 # Singular PSD pair with closed-form spectra: eig(A) = (3, 1, 0) and
 # eig(B) = (2 + sqrt 2, 2 - sqrt 2, 0).
@@ -321,6 +327,77 @@ class TestSchurComplement:
             i = int(rng.integers(0, n))
             out = schur_complement(g, i)
             assert float(np.linalg.eigvalsh(out.entries)[0]) > -1e-9
+
+
+class TestStackEigvals:
+    """The stack kernel against the single-matrix solver, bit for bit."""
+
+    KINDS = ("complex", "psd_rank_deficient", "real", "diagonal", "zero")
+
+    @staticmethod
+    def block(rng, kind, m):
+        if kind == "complex":
+            return random_hermitian(rng, m)
+        if kind == "psd_rank_deficient":
+            r = max(1, m - 2)
+            f = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+            return f @ f.conj().T
+        if kind == "real":
+            return random_hermitian(rng, m).real.astype(np.complex128)
+        if kind == "diagonal":
+            return np.diag(rng.normal(size=m)).astype(np.complex128)
+        return np.zeros((m, m), dtype=np.complex128)
+
+    def assert_rows_match(self, stack):
+        vals = stack_eigvals(stack)
+        assert vals.shape == stack.shape[:2]
+        for i, blk in enumerate(stack):
+            single = block_eigvals(blk)
+            assert np.array_equal(vals[i], single)
+            assert vals[i].tobytes() == single.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stack_of_one(self, m):
+        rng = np.random.default_rng(900 + m)
+        for kind in self.KINDS:
+            self.assert_rows_match(self.block(rng, kind, m)[None])
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_mixed_stack(self, m):
+        """Blocks that converge after different sweep counts share one stack."""
+        rng = np.random.default_rng(910 + m)
+        kinds = [self.KINDS[i % len(self.KINDS)] for i in range(60)]
+        self.assert_rows_match(np.array([self.block(rng, kind, m) for kind in kinds]))
+
+    def test_principal_blocks_of_one_matrix(self):
+        rng = np.random.default_rng(920)
+        f = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        a = f @ f.conj().T
+        subsets = itertools.combinations(range(9), 5)
+        self.assert_rows_match(np.array([a[np.ix_(s, s)] for s in subsets]))
+
+    def test_convergence_test_is_exact_at_the_threshold(self):
+        """Masses within rounding of the threshold get the single-matrix norm."""
+        rng = np.random.default_rng(930)
+        w = random_hermitian(rng, 5)
+        off = w - np.diag(np.diag(w))
+        mass = float(np.linalg.norm(off))
+        for tol, expected in [(mass, True), (np.nextafter(mass, 0.0), False)]:
+            assert matcore._off_mass_within(w[None], np.array([tol]))[0] == expected
+
+    def test_sweep_cap_raises_the_same_error(self, monkeypatch):
+        monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(940)
+        a = random_hermitian(rng, 7)
+        stack = np.array([a[np.ix_(s, s)] for s in itertools.combinations(range(7), 4)])
+        with pytest.raises(ConvergenceError) as single:
+            block_eigvals(stack[0])
+        with pytest.raises(ConvergenceError) as stacked:
+            stack_eigvals(stack)
+        with pytest.raises(ConvergenceError) as scan:
+            min_submatrix_eigenvalue(a, 4)
+        assert str(single.value) == str(stacked.value) == str(scan.value)
+        assert "1 sweeps" in str(scan.value)
 
 
 def test_tol_for_has_absolute_floor():

@@ -11,14 +11,16 @@ import math
 import numpy as np
 import pytest
 
+from hadabound import matcore, submatrix
 from hadabound.apps import DoaScenario, build_steering, doa_bound
 from hadabound.errors import (
     BudgetExceededError,
+    ConvergenceError,
     DimensionError,
     NotPsdError,
     ZeroMatrixError,
 )
-from hadabound.matcore import hadamard
+from hadabound.matcore import block_eigvals, hadamard
 from hadabound.submatrix import (
     effective_condition_number,
     iter_subsets,
@@ -282,6 +284,74 @@ class TestMinSubsetSingularValue:
             min_subset_singular_value(np.eye(3), 4)
         with pytest.raises(DimensionError):
             min_subset_singular_value(np.zeros((0, 2)), 1)
+
+
+class TestScanChunks:
+    """The scan solves subsets in growing stacks; results stay per subset."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Subsets drawn from the module-global iter_subsets, per (n, m) call."""
+        real = submatrix.iter_subsets
+        calls = []
+
+        def counting(n, m, *rest):
+            it = real(n, m, *rest)
+            calls.append([(n, m), 0])
+
+            def count():
+                for subset in it:
+                    calls[-1][1] += 1
+                    yield subset
+
+            return count()
+
+        monkeypatch.setattr(submatrix, "iter_subsets", counting)
+        return calls
+
+    def test_tie_across_chunks_keeps_first_subset(self):
+        res = min_submatrix_eigenvalue(np.eye(9), 4)
+        assert (res.value, res.argmin_subset) == (1.0, (0, 1, 2, 3))
+
+    def test_unique_minimum_past_the_first_chunks(self):
+        # 1 - 0.9 * |S & {7..11}| / 5 is least only at the last subset.
+        v = np.zeros(12)
+        v[7:] = 1.0 / math.sqrt(5.0)
+        a = np.eye(12) - 0.9 * np.outer(v, v)
+        last = (7, 8, 9, 10, 11)
+        assert list(itertools.combinations(range(12), 5)).index(last) > 256
+        res = min_submatrix_eigenvalue(a, 5)
+        assert res.argmin_subset == last
+        assert res.value == pytest.approx(0.1, abs=1e-12)
+
+    def test_matches_the_per_subset_scan_bit_for_bit(self):
+        rng = np.random.default_rng(850)
+        f = rng.normal(size=(11, 6)) + 1j * rng.normal(size=(11, 6))
+        a = f @ f.conj().T
+        value, subset = min(
+            (block_eigvals(a[np.ix_(s, s)])[-1], s)
+            for s in itertools.combinations(range(11), 6)
+        )
+        res = min_submatrix_eigenvalue(a, 6)
+        assert (repr(res.value), res.argmin_subset) == (repr(float(value)), subset)
+
+    def test_failing_kruskal_level_draws_one_subset(self, drawn):
+        # Columns 0, 1, 2 are dependent; every pair is independent.
+        rng = np.random.default_rng(860)
+        g = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        g[:, 2] = g[:, 0] + g[:, 1]
+        assert kruskal_rank(g.conj().T @ g) == 2
+        assert drawn == [[(6, 1), 6], [(6, 2), 15], [(6, 3), 1]]
+
+    def test_blocks_before_a_failing_one_are_yielded(self, monkeypatch):
+        """Non-convergence surfaces at its subset, as in a per-subset scan."""
+        monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
+        a = np.eye(5)
+        a[1, 4] = a[4, 1] = 0.5  # (0, 1, 2) and (0, 1, 3) diagonal, (0, 1, 4) not
+        scan = submatrix._block_spectra(5, 3, 100, lambda s: a[np.ix_(s, s)])
+        assert [next(scan)[0] for _ in range(2)] == [(0, 1, 2), (0, 1, 3)]
+        with pytest.raises(ConvergenceError):
+            next(scan)
 
 
 class TestPinnedScans:
