@@ -1,11 +1,12 @@
 """Record one point of the benchmark trajectory, or compare two.
 
-    python3 bench/record.py record --checkout DIR --out BENCH_<k>.json [--seconds 22]
+    python3 bench/record.py record --checkout DIR --out BENCH_<k>.json
     python3 bench/record.py compare BENCH_0.json BENCH_1.json
 
 `record` runs DIR/perfbench/run.py as a subprocess, once per workload and
 seed (1, 2, 3) at --trace 0 and once per workload at --trace 1 (seed 1),
-and keeps each run's context line and final JSON line. The file it
+each for the run_seconds of DIR/BENCHMARK.json, and keeps each run's
+context line and final JSON line. The file it
 writes holds, per workload, the context line of the first run, the
 median over the seeds of each end-to-end metric (with the per-seed
 values), the attempted and failed op counts, and the per-layer metrics
@@ -13,7 +14,8 @@ of the traced run. Run it on an otherwise idle machine; both files of a
 comparison must come from the same machine.
 
 `compare` prints, per workload, each end-to-end median and per-layer
-metric of both files with the ratio new / old.
+metric of both files with the ratio new / old. It refuses two files
+whose runs lasted different times.
 """
 
 from __future__ import annotations
@@ -77,11 +79,13 @@ def record_workload(checkout: Path, workload: str, seconds: float) -> dict:
 
 
 def record(args) -> int:
+    spec = json.loads((args.checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     doc = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": list(SEEDS),
         "trace_seed": TRACE_SEED,
-        "workloads": {w: record_workload(args.checkout, w, args.seconds) for w in WORKLOADS},
+        "workloads": {w: record_workload(args.checkout, w, seconds) for w in WORKLOADS},
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
@@ -95,6 +99,9 @@ def _row(name: str, old, new, unit: str) -> str:
 
 def compare(args) -> int:
     old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (args.old, args.new))
+    if old["seconds"] != new["seconds"]:
+        print(f"run lengths differ: {old['seconds']} s vs {new['seconds']} s", file=sys.stderr)
+        return 2
     for w, before in old["workloads"].items():
         after = new["workloads"].get(w)
         if after is None:
@@ -118,7 +125,6 @@ def main(argv=None) -> int:
     r = sub.add_parser("record", help="run the benchmark and write one BENCH file")
     r.add_argument("--checkout", type=Path, required=True, help="checkout whose perfbench/ and src/ run")
     r.add_argument("--out", type=Path, required=True)
-    r.add_argument("--seconds", type=float, default=22.0, help="timed seconds per run")
     c = sub.add_parser("compare", help="print two BENCH files side by side")
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)

@@ -252,7 +252,8 @@ def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
     sums of the 2 n^2 squares, in any order, differ by less than 2 n^2 + 1
     units of eps relative to the sum, so a vectorized sum settles every
     block clearly on one side of the threshold. Blocks inside that band,
-    or near underflow, are measured again with the single-matrix norm.
+    near underflow, or whose norm overflowed (where inf - inf leaves the
+    side undecided) are measured again with the single-matrix norm.
     """
     n = w.shape[1]
     off = w.copy()
@@ -260,8 +261,10 @@ def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
     est = np.einsum("kij,kij->k", off.real, off.real) + np.einsum("kij,kij->k", off.imag, off.imag)
     tol2 = off_tol * off_tol
     band = 8 * n * n * np.finfo(float).eps * (est + tol2) + 1e-300
-    within = est < tol2 - band
-    for i in np.flatnonzero(np.abs(est - tol2) <= band):
+    with np.errstate(invalid="ignore"):
+        within = est < tol2 - band
+        undecided = ~(np.abs(est - tol2) > band)
+    for i in np.flatnonzero(undecided):
         within[i] = float(np.linalg.norm(off[i])) <= off_tol[i]
     return within
 

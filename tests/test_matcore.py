@@ -8,6 +8,7 @@ which shares no code with the package's Jacobi iteration.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,22 @@ class TestStackEigvals:
         mass = float(np.linalg.norm(off))
         for tol, expected in [(mass, True), (np.nextafter(mass, 0.0), False)]:
             assert matcore._off_mass_within(w[None], np.array([tol]))[0] == expected
+
+    def test_overflowing_norm_converges_at_once(self):
+        """A block whose norm overflows passes the first convergence test, as alone.
+
+        Its off_tol is inf, so inf - inf must not leave the test undecided.
+        """
+        big = np.zeros((3, 3), dtype=np.complex128)
+        big[0, 1] = big[1, 0] = 1e155
+        big_diag = np.diag([1e155, 1.0, 0.0]).astype(np.complex128)
+        big_diag[0, 1] = big_diag[1, 0] = 1.0
+        rng = np.random.default_rng(935)
+        stack = np.array([big, big_diag, random_hermitian(rng, 3)])
+        # The single-matrix norm overflows too; anything else is an error.
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            self.assert_rows_match(stack)
 
     def test_sweep_cap_raises_the_same_error(self, monkeypatch):
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
