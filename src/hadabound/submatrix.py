@@ -68,17 +68,20 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
     return HermitianMatrix((block + block.conj().T) / 2.0)
 
 
-def _block_spectra(n: int, m: int, budget: int, block):
-    """The one subset scan: (subset, eigenvalues of Hermitian block(subset)), lazily.
+def _block_spectra(n: int, m: int, budget: int, blocks, *, whole: bool = False):
+    """The one subset scan: (subset, eigenvalues of its Hermitian block), lazily.
 
-    Subsets are drawn from iter_subsets in chunks of 1, 2, 4, ... up to
-    SCAN_CHUNK_MAX and each chunk is solved as one stack, so a consumer
-    that stops at the first subset has drawn and solved only that one.
+    Subsets are drawn from iter_subsets in chunks, and blocks(idx) builds a
+    chunk's (k, m, m) stack from its (k, m) index array; each stack is
+    solved at once. By default the chunks grow 1, 2, 4, ... up to
+    SCAN_CHUNK_MAX, so a consumer that stops at the first subset has drawn
+    and solved only that one. A scan that visits every subset anyway
+    passes whole=True and draws SCAN_CHUNK_MAX subsets from the first.
     """
     subsets = iter_subsets(n, m, budget)
-    size = 1
+    size = SCAN_CHUNK_MAX if whole else 1
     while chunk := list(itertools.islice(subsets, size)):
-        stack = np.array([block(subset) for subset in chunk])
+        stack = blocks(np.array(chunk))
         try:
             spectra = stack_eigvals(stack)
         except ConvergenceError:
@@ -86,6 +89,16 @@ def _block_spectra(n: int, m: int, budget: int, block):
             spectra = map(block_eigvals, stack)
         yield from zip(chunk, spectra)
         size = min(2 * size, SCAN_CHUNK_MAX)
+
+
+def _principal_blocks(entries: np.ndarray):
+    """Block builder of the principal submatrices: one gather per chunk."""
+    return lambda idx: entries[idx[:, :, None], idx[:, None, :]]
+
+
+def _gram_blocks(arr: np.ndarray):
+    """Block builder of the Gram matrices of column subsets, one product each."""
+    return lambda idx: np.array([arr[:, s].conj().T @ arr[:, s] for s in idx])
 
 
 def _nonempty_2d(mat) -> np.ndarray:
@@ -127,7 +140,7 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
         return MinSubmatrixResult(value, tuple(range(n)), n)
     # min keeps the first of equal keys: the lexicographically first argmin.
     subset, vals = min(
-        _block_spectra(n, m, budget, lambda s: am.entries[np.ix_(s, s)]),
+        _block_spectra(n, m, budget, _principal_blocks(am.entries), whole=True),
         key=lambda item: item[1][-1],
     )
     return MinSubmatrixResult(float(vals[-1]), subset, m)
@@ -136,16 +149,26 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
 def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET) -> int:
     """Largest q such that every q columns are linearly independent.
 
-    The search walks q upward and stops at the first q with a dependent
-    column subset, returning q - 1. Hermitian positive semidefinite inputs
-    take a fast path: every q columns of such a matrix are independent
-    exactly when the matching q x q principal submatrix is positive
-    definite, judged against that block's own largest eigenvalue. Other
-    inputs, indefinite Hermitian ones included, use eigenvalues of
-    column-subset Gram matrices, judged against the largest eigenvalue of
-    the full Gram matrix. The two paths decide on different scales:
-    kruskal_rank(diag(1e3, 1e-2)) is 2 but kruskal_rank(diag(1e3, -1e-2))
-    is 0. A zero column yields 0.
+    Hermitian positive semidefinite inputs take a fast path: every q
+    columns of such a matrix are independent exactly when the matching
+    q x q principal submatrix is positive definite, judged against that
+    block's own largest eigenvalue. Other inputs, indefinite Hermitian ones
+    included, use eigenvalues of column-subset Gram matrices, judged
+    against the largest eigenvalue of the full Gram matrix. The two paths
+    decide on different scales: kruskal_rank(diag(1e3, 1e-2)) is 2 but
+    kruskal_rank(diag(1e3, -1e-2)) is 0. A zero column yields 0.
+
+    The levels are monotone: by interlacing, when every q-subset passes,
+    so does every smaller subset. So the search starts at the numeric rank
+    r (on the Gram path, the count of full-Gram eigenvalues above tau). It
+    probes level r + 1, which a generic input fails at its first subset,
+    then scans level r whole, and walks up while the next level passes,
+    otherwise down to the first level that passes. r is no upper bound on
+    the PSD path, where each block is judged at its own scale:
+    3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has numeric
+    rank 1 and Kruskal rank 2. A level over the budget sends the search to
+    a walk up from q = 1, which raises only if the level after the answer
+    is over the budget too.
     """
     arr = _nonempty_2d(mat)
     n_cols = arr.shape[1]
@@ -156,20 +179,38 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         herm = None
     psd = herm is not None and classify_psd(herm, tau_rel).is_psd
     if psd:
-        block = lambda s: herm.entries[np.ix_(s, s)]
+        blocks = _principal_blocks(herm.entries)
         dependent = lambda vals: vals[-1] <= tol_for(vals[0], tau_rel)
+        rank = rank_numeric(herm, tau_rel)
     else:
-        tau = tol_for(max(0.0, float(eigvals_hermitian(arr.conj().T @ arr)[0])), tau_rel)
-        block = lambda s: arr[:, s].conj().T @ arr[:, s]
+        gram_vals = eigvals_hermitian(arr.conj().T @ arr)
+        tau = tol_for(max(0.0, float(gram_vals[0])), tau_rel)
+        blocks = _gram_blocks(arr)
         dependent = lambda vals: vals[-1] <= tau
-    for q in range(1, n_cols + 1):
+        rank = int(np.sum(gram_vals > tau))
+
+    def independent(q: int, whole: bool = False) -> bool:
         if psd and q == n_cols:  # the block is the matrix itself, already solved
             spectra = [eigvals_hermitian(herm)]
         else:
-            spectra = (vals for _, vals in _block_spectra(n_cols, q, budget, block))
-        if any(map(dependent, spectra)):
-            return q - 1
-    return n_cols
+            scan = _block_spectra(n_cols, q, budget, blocks, whole=whole)
+            spectra = (vals for _, vals in scan)
+        return not any(map(dependent, spectra))
+
+    def walk_up(q: int) -> int:
+        while q < n_cols and independent(q + 1):
+            q += 1
+        return q
+
+    try:
+        q = walk_up(rank)
+        if q == rank:
+            while q > 0 and not independent(q, whole=q == rank):
+                q -= 1
+        return q
+    except BudgetExceededError:
+        # A level near r is over the budget; the answer may lie below it.
+        return walk_up(0)
 
 
 def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:
@@ -209,6 +250,6 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")
-    gram = lambda s: arr[:, s].conj().T @ arr[:, s]
-    lam_min = min(vals[-1] for _, vals in _block_spectra(n_cols, m, budget, gram))
+    scan = _block_spectra(n_cols, m, budget, _gram_blocks(arr), whole=True)
+    lam_min = min(vals[-1] for _, vals in scan)
     return math.sqrt(max(0.0, float(lam_min)))

@@ -17,6 +17,7 @@ from hadabound.errors import (
     BudgetExceededError,
     ConvergenceError,
     DimensionError,
+    HermitianityError,
     NotPsdError,
     ZeroMatrixError,
 )
@@ -138,6 +139,69 @@ class TestMinSubmatrixEigenvalue:
             assert mine == pytest.approx(oracle, abs=1e-10)
 
 
+KRUSKAL_KINDS = ("psd", "dependent_gram", "indefinite", "rectangular", "scaled", "threshold")
+
+
+def kruskal_input(rng, kind):
+    """One random matrix of a kind that drives the Kruskal walk its own way."""
+    n = int(rng.integers(2, 8))
+    r = int(rng.integers(1, n + 1))
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "psd":
+        f = cnormal(n, r)
+        return f @ f.conj().T
+    if kind == "dependent_gram":
+        # A square, non-Hermitian matrix with one column a mix of two others.
+        g = cnormal(n, n)
+        i, j, k = rng.choice(n, size=3, replace=True)
+        g[:, k] = g[:, i] - 0.5 * g[:, j]
+        return g
+    if kind == "indefinite":
+        f = cnormal(n, r)
+        return (f * rng.choice([-1.0, 1.0], size=r)) @ f.conj().T
+    if kind == "rectangular":
+        return cnormal(int(rng.integers(1, 8)), n)
+    if kind == "scaled":
+        f = cnormal(n, r)
+        d = 10.0 ** rng.uniform(-4, 4, size=n)
+        return d[:, None] * (f @ f.conj().T) * d[None, :]
+    # Rank one plus a ridge that q x q blocks see above their threshold
+    # only while q / n < t: the Kruskal rank exceeds the numeric rank 1.
+    v = np.exp(2j * np.pi * rng.uniform(size=n)) / math.sqrt(n)
+    t = rng.uniform(0.3, 0.95)
+    p = np.outer(v, v.conj())
+    return 1e3 * p + 1e-6 * t * (np.eye(n) - p)
+
+
+def upward_kruskal_rank(mat, tau_rel=matcore.DEFAULT_TOL_REL):
+    """q - 1 for the first level q, walked up from 1, with a dependent subset.
+
+    The same per-block decisions as kruskal_rank, one subset at a time.
+    """
+    arr = np.asarray(mat, dtype=np.complex128)
+    n = arr.shape[1]
+    try:
+        psd = matcore.classify_psd(arr, tau_rel).is_psd
+    except (DimensionError, HermitianityError):
+        psd = False
+    if psd:
+        def dependent(s):
+            vals = block_eigvals(arr[np.ix_(s, s)])
+            return vals[-1] <= matcore.tol_for(vals[0], tau_rel)
+    else:
+        tau = matcore.tol_for(max(0.0, block_eigvals(arr.conj().T @ arr)[0]), tau_rel)
+
+        def dependent(s):
+            return block_eigvals(arr[:, s].conj().T @ arr[:, s])[-1] <= tau
+    for q in range(1, n + 1):
+        if any(dependent(s) for s in itertools.combinations(range(n), q)):
+            return q - 1
+    return n
+
+
 class TestKruskalRank:
     def test_goldens(self):
         assert kruskal_rank(A) == 2
@@ -183,6 +247,33 @@ class TestKruskalRank:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             kruskal_rank(np.zeros((0, 0)))
+
+    def test_can_exceed_the_numeric_rank(self):
+        # The 2x2 blocks' small eigenvalue 2.5e-6 clears their own threshold
+        # 2e-6 but not the matrix's 3e-6, so the walk must probe above r.
+        v = np.ones(3) / math.sqrt(3.0)
+        a = 3e3 * np.outer(v, v) + 2.5e-6 * (np.eye(3) - np.outer(v, v))
+        assert matcore.rank_numeric(a) == 1
+        assert kruskal_rank(a) == 2
+
+    def test_level_over_budget_falls_back_to_the_upward_walk(self):
+        # Rank 19 but columns 0 and 1 equal: levels 19 and 18 fail within
+        # the budget, level 17 exceeds it, and the answer 1 needs only 1, 2.
+        rng = np.random.default_rng(863)
+        f = rng.normal(size=(20, 19))
+        f[1] = f[0]
+        a = f @ f.T
+        assert matcore.rank_numeric(a) == 19
+        assert kruskal_rank(a, budget=500) == 1
+        with pytest.raises(BudgetExceededError):
+            kruskal_rank(a, budget=100)
+
+    @pytest.mark.parametrize("kind", KRUSKAL_KINDS)
+    def test_matches_the_upward_walk(self, kind):
+        rng = np.random.default_rng(870 + KRUSKAL_KINDS.index(kind))
+        for _ in range(25):
+            mat = kruskal_input(rng, kind)
+            assert kruskal_rank(mat) == upward_kruskal_rank(mat)
 
 
 def test_blocks_of_an_accepted_matrix_are_not_revalidated():
@@ -341,14 +432,40 @@ class TestScanChunks:
         g = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
         g[:, 2] = g[:, 0] + g[:, 1]
         assert kruskal_rank(g.conj().T @ g) == 2
-        assert drawn == [[(6, 1), 6], [(6, 2), 15], [(6, 3), 1]]
+        # Numeric rank 5: level 6 fails on the cached spectrum, level 5 is
+        # drawn whole, levels 4 and 3 fail at their first subset, level 2 passes.
+        assert drawn == [[(6, 5), 6], [(6, 4), 1], [(6, 3), 1], [(6, 2), 15]]
+
+    @pytest.mark.parametrize("n,r", [(9, 4), (11, 6)])
+    def test_generic_kruskal_walk_probes_once_then_scans_the_rank(self, drawn, n, r):
+        rng = np.random.default_rng(861)
+        f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        assert kruskal_rank(f @ f.conj().T) == r
+        assert drawn == [[(n, r + 1), 1], [(n, r), math.comb(n, r)]]
+
+    @pytest.mark.parametrize("scan", ["mu", "subset_sv"])
+    def test_exhaustive_scan_solves_whole_chunks(self, monkeypatch, scan):
+        solves = []
+
+        def counting(stack):
+            solves.append(len(stack))
+            return matcore.stack_eigvals(stack)
+
+        monkeypatch.setattr(submatrix, "stack_eigvals", counting)
+        rng = np.random.default_rng(862)
+        f = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
+        if scan == "mu":
+            min_submatrix_eigenvalue(f @ f.conj().T, 7)
+        else:
+            min_subset_singular_value(f, 7)
+        assert solves == [256, 74]  # C(11, 7) = 330
 
     def test_blocks_before_a_failing_one_are_yielded(self, monkeypatch):
         """Non-convergence surfaces at its subset, as in a per-subset scan."""
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
         a = np.eye(5)
         a[1, 4] = a[4, 1] = 0.5  # (0, 1, 2) and (0, 1, 3) diagonal, (0, 1, 4) not
-        scan = submatrix._block_spectra(5, 3, 100, lambda s: a[np.ix_(s, s)])
+        scan = submatrix._block_spectra(5, 3, 100, submatrix._principal_blocks(a))
         assert [next(scan)[0] for _ in range(2)] == [(0, 1, 2), (0, 1, 3)]
         with pytest.raises(ConvergenceError):
             next(scan)
