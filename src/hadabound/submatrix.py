@@ -167,8 +167,8 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     the PSD path, where each block is judged at its own scale:
     3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has numeric
     rank 1 and Kruskal rank 2. A level over the budget sends the search to
-    a walk up from q = 1, which raises only if the level after the answer
-    is over the budget too.
+    the walk up from q = 1, so the budget trips only where that walk needs
+    a level over it.
     """
     arr = _nonempty_2d(mat)
     n_cols = arr.shape[1]
