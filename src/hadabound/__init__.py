@@ -46,16 +46,13 @@ from .matcore import (
     hadamard,
     is_orthogonal_projection,
     rank_numeric,
-    schur_complement,
 )
 from .submatrix import (
     MinSubmatrixResult,
     effective_condition_number,
-    iter_subsets,
     kruskal_rank,
     min_submatrix_eigenvalue,
     min_subset_singular_value,
-    principal_submatrix,
 )
 
 __version__ = "0.1.0"
@@ -89,18 +86,15 @@ __all__ = [
     "hadamard",
     "indefinite_certificate",
     "is_orthogonal_projection",
-    "iter_subsets",
     "kruskal_rank",
     "loewner_check",
     "min_submatrix_eigenvalue",
     "min_subset_singular_value",
     "nonsingularity_predicate",
-    "principal_submatrix",
     "projection_certificate",
     "quantitative_bound",
     "rank_identity_check",
     "rank_numeric",
-    "schur_complement",
     "shift_construction",
     "smoothed_cov_direct",
     "smoothed_cov_hadamard",

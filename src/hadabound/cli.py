@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import re
 import sys
 import time
@@ -422,7 +421,7 @@ def _number_between(low: float, high: float, what: str):
 
 
 _tolerance = _number_between(0.0, 1.0, "a number in (0, 1)")
-_scale = _number_between(0.0, math.inf, "a finite number above 0")
+_scale = _number_between(0.0, 100.0, "a number in (0, 100)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=_scale, default=1.0, help="trial count multiplier (> 0)")
+    p.add_argument("--scale", type=_scale, default=1.0, help="trial count multiplier in (0, 100)")
     common(p)
 
     return parser

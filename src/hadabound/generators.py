@@ -18,6 +18,7 @@ from .matcore import HermitianMatrix
 from .submatrix import kruskal_rank
 
 MAX_REJECTION_ATTEMPTS = 200
+MIN_FREQUENCY_GAP = 0.1
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:
@@ -26,16 +27,12 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> He
     return HermitianMatrix(scale * 0.5 * (m + m.conj().T))
 
 
-def random_psd(
-    rng: np.random.Generator, n: int, rank: int, complex_entries: bool = True
-) -> HermitianMatrix:
-    """Gram matrix of a random frame: positive semidefinite with the given rank."""
+def random_psd(rng: np.random.Generator, n: int, rank: int) -> HermitianMatrix:
+    """Gram matrix of a random complex frame: positive semidefinite with the given rank."""
     if not 1 <= rank <= n:
         raise ValueError(f"rank {rank} must lie in [1, {n}]")
     f = rng.standard_normal((rank, n))
-    if complex_entries:
-        f = f + 1j * rng.standard_normal((rank, n))
-        f = f / math.sqrt(2.0)
+    f = (f + 1j * rng.standard_normal((rank, n))) / math.sqrt(2.0)
     return HermitianMatrix(f.conj().T @ f)
 
 
@@ -68,30 +65,22 @@ def random_psd_with_kruskal(
     raise RuntimeError("rejection sampling failed to reach the requested Kruskal rank")
 
 
-def random_frequencies(
-    rng: np.random.Generator, k: int, min_gap: float = 0.1
-) -> tuple[float, ...]:
-    """k frequencies in [-pi, pi) with pairwise gaps above min_gap."""
+def random_frequencies(rng: np.random.Generator, k: int) -> tuple[float, ...]:
+    """k frequencies in [-pi, pi) with pairwise gaps above MIN_FREQUENCY_GAP."""
     for _ in range(MAX_REJECTION_ATTEMPTS):
         draw = np.sort(rng.uniform(-math.pi, math.pi, size=k))
-        if k == 1 or float(np.min(np.diff(draw))) > min_gap:
+        if k == 1 or float(np.min(np.diff(draw))) > MIN_FREQUENCY_GAP:
             return tuple(float(w) for w in draw)
     raise RuntimeError("rejection sampling failed to separate frequencies")
 
 
-def random_doa_scenario(
-    rng: np.random.Generator,
-    max_sources: int = 4,
-    max_subarrays: int = 6,
-    min_gap: float = 0.1,
-    rank: int | None = None,
-) -> DoaScenario:
-    """Valid scenario with K <= max_sources, P <= max_subarrays, random covariance rank."""
-    k = int(rng.integers(1, max_sources + 1))
-    p = int(rng.integers(1, max_subarrays + 1))
+def random_doa_scenario(rng: np.random.Generator) -> DoaScenario:
+    """Valid scenario with K <= 4 sources, P <= 6 subarrays and a random covariance rank."""
+    k = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 7))
     n = k + p
-    omega = random_frequencies(rng, k, min_gap)
-    r = int(rng.integers(1, k + 1)) if rank is None else rank
+    omega = random_frequencies(rng, k)
+    r = int(rng.integers(1, k + 1))
     sigma = random_psd(rng, k, r)
     return DoaScenario(N=n, K=k, P=p, omega=omega, sigma_s=sigma)
 
@@ -103,16 +92,15 @@ def _unit_columns(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
-def random_cp_scenario(
-    rng: np.random.Generator,
-    max_latent: int = 4,
-    extra_rows: int = 3,
-    max_scores: int = 3,
-) -> CpScenario:
-    """Random factor model, second loading rank-deficient half the time."""
-    d = int(rng.integers(1, max_latent + 1))
-    p = d + int(rng.integers(0, extra_rows + 1))
-    q = d + int(rng.integers(0, extra_rows + 1))
+def random_cp_scenario(rng: np.random.Generator) -> CpScenario:
+    """Random factor model, second loading rank-deficient half the time.
+
+    d <= 4 latent factors, each loading with up to 3 rows more than d, and
+    1 to 3 score vectors.
+    """
+    d = int(rng.integers(1, 5))
+    p = d + int(rng.integers(0, 4))
+    q = d + int(rng.integers(0, 4))
     d2 = d if rng.uniform() < 0.5 else int(rng.integers(1, d + 1))
     for _ in range(MAX_REJECTION_ATTEMPTS):
         try:
@@ -124,6 +112,6 @@ def random_cp_scenario(
             continue
     else:
         raise RuntimeError("rejection sampling failed to build loadings")
-    n_scores = int(rng.integers(1, max_scores + 1))
+    n_scores = int(rng.integers(1, 4))
     scores = tuple(rng.standard_normal(d) for _ in range(n_scores))
     return CpScenario(d=d, a_load=a, b_load=b, g=scores)

@@ -7,12 +7,12 @@ no threading), so identical inputs produce bit-identical spectra. Library
 decompositions are deliberately not used on this path; they serve as
 independent oracles in the test suite instead.
 
-It runs in two forms. A single matrix (a carrier's spectrum, eig_hermitian)
-is solved by _jacobi_sweep_values. A stack of blocks of one order (the
-subset scans) is solved by stack_eigvals, which vectorizes the same
-iteration across the stack: the same sweep order and thresholds, with
-convergence judged per block, so each block's spectrum is bit-identical to
-its single-matrix solve.
+One driver, _jacobi, runs the iteration on a stack of blocks of one order:
+a single matrix (a carrier's spectrum, eig_hermitian) is a stack of one,
+the subset scans pass whole stacks through stack_eigvals. Thresholds,
+norms and convergence are per block, and a sweep over the stack is the
+single-matrix sweep vectorized across it, so each block's spectrum is
+bit-identical to its solve alone.
 
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
@@ -167,62 +167,47 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def _jacobi_sweep_values(a: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi on a Hermitian array. Returns (diagonal, vectors or None).
+def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
+    """One cyclic Jacobi sweep over one matrix, in place; rotates v's columns too.
 
     Each step annihilates one off-diagonal pair with a 2x2 unitary rotation,
-    visiting the upper triangle in row-major order. Convergence is declared
-    when the off-diagonal Frobenius mass drops below 1e-14 * ||A||_F; the
-    sweep count is capped at 100.
+    visiting the upper triangle in row-major order. Rotations on entries of
+    at most skip_tol cannot move the off-diagonal mass above the
+    convergence threshold, so they are skipped.
     """
-    n = a.shape[0]
-    w = np.array(a, dtype=np.complex128)
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    norm_f = float(np.linalg.norm(w))
-    off_tol = JACOBI_OFF_REL * norm_f
-    # Rotations on entries this small cannot move the off-diagonal mass
-    # above the threshold, so they are skipped.
-    skip_tol = off_tol / max(1, n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off_mass = float(np.linalg.norm(w - np.diag(np.diag(w))))
-        if off_mass <= off_tol:
-            return np.real(np.diag(w)).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r <= skip_tol:
-                    continue
-                phase = apq / r
-                app = w[p, p].real
-                aqq = w[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Right multiply by the rotation: columns p and q mix.
-                col_p = w[:, p].copy()
-                col_q = w[:, q].copy()
-                w[:, p] = c * col_p + s * np.conj(phase) * col_q
-                w[:, q] = -s * phase * col_p + c * col_q
-                # Left multiply by its conjugate transpose: rows p and q mix.
-                row_p = w[p, :].copy()
-                row_q = w[q, :].copy()
-                w[p, :] = c * row_p + s * phase * row_q
-                w[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp + s * np.conj(phase) * vq
-                    v[:, q] = -s * phase * vp + c * vq
-    raise ConvergenceError(
-        f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-    )
+    n = w.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = w[p, q]
+            r = abs(apq)
+            if r <= skip_tol:
+                continue
+            phase = apq / r
+            app = w[p, p].real
+            aqq = w[q, q].real
+            tau = (aqq - app) / (2.0 * r)
+            t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            # Right multiply by the rotation: columns p and q mix.
+            col_p = w[:, p].copy()
+            col_q = w[:, q].copy()
+            w[:, p] = c * col_p + s * np.conj(phase) * col_q
+            w[:, q] = -s * phase * col_p + c * col_q
+            # Left multiply by its conjugate transpose: rows p and q mix.
+            row_p = w[p, :].copy()
+            row_q = w[q, :].copy()
+            w[p, :] = c * row_p + s * phase * row_q
+            w[q, :] = -s * np.conj(phase) * row_p + c * row_q
+            w[p, q] = 0.0
+            w[q, p] = 0.0
+            w[p, p] = w[p, p].real
+            w[q, q] = w[q, q].real
+            if v is not None:
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp + s * np.conj(phase) * vq
+                v[:, q] = -s * phase * vp + c * vq
 
 
 def block_eigvals(w: np.ndarray) -> np.ndarray:
@@ -241,32 +226,29 @@ def block_eigvals(w: np.ndarray) -> np.ndarray:
         mid = 0.5 * (a + d)
         rad = math.hypot(0.5 * (a - d), abs(w[0, 1]))
         return np.array([mid + rad, mid - rad])
-    diag, _ = _jacobi_sweep_values(w, want_vectors=False)
+    diag = _jacobi(np.array(w, dtype=np.complex128)[None])[0]
     return np.sort(diag)[::-1].copy()
 
 
-def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
-    """Per block of a stack: is the off-diagonal Frobenius mass <= off_tol?
+def _frobenius(w: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each block of a stack, bit for bit; blocks may be flattened.
 
-    Decides exactly as the single-matrix test in _jacobi_sweep_values. Two
-    sums of the 2 n^2 squares, in any order, differ by less than 2 n^2 + 1
-    units of eps relative to the sum, so a vectorized sum settles every
-    block clearly on one side of the threshold. Blocks inside that band,
-    near underflow, or whose norm overflowed (where inf - inf leaves the
-    side undecided) are measured again with the single-matrix norm.
+    np.linalg.norm takes one matrix's norm as two BLAS dot products over
+    its flattened entries, real parts and imaginary parts, then a square
+    root. Matmul of a row by a column makes the same dot call per block.
     """
-    n = w.shape[1]
-    off = w.copy()
-    off[:, range(n), range(n)] = 0.0
-    est = np.einsum("kij,kij->k", off.real, off.real) + np.einsum("kij,kij->k", off.imag, off.imag)
-    tol2 = off_tol * off_tol
-    band = 8 * n * n * np.finfo(float).eps * (est + tol2) + 1e-300
-    with np.errstate(invalid="ignore"):
-        within = est < tol2 - band
-        undecided = ~(np.abs(est - tol2) > band)
-    for i in np.flatnonzero(undecided):
-        within[i] = float(np.linalg.norm(off[i])) <= off_tol[i]
-    return within
+    flat = w.reshape(w.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
+    """Per block of a stack: is the off-diagonal Frobenius mass <= off_tol?"""
+    k, n = w.shape[0], w.shape[1]
+    off = w.reshape(k, n * n).copy()
+    off[:, :: n + 1] = 0.0  # the diagonal of each flattened block
+    return _frobenius(off) <= off_tol
 
 
 def _hypot_one(x: np.ndarray) -> np.ndarray:
@@ -277,8 +259,8 @@ def _hypot_one(x: np.ndarray) -> np.ndarray:
 def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
     """One cyclic Jacobi sweep over every block of a stack, in place.
 
-    The steps of _jacobi_sweep_values, elementwise across the stack: a
-    block whose |a_pq| is at most its skip_tol is left as it is at (p, q).
+    The steps of _scalar_sweep, elementwise across the stack: a block
+    whose |a_pq| is at most its skip_tol is left as it is at (p, q).
     """
     n = w.shape[1]
     for p in range(n - 1):
@@ -320,21 +302,20 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
             w[sel, q, q] = w[sel, q, q].real
 
 
-def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
+def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """The cyclic Jacobi iteration on a (k, n, n) complex128 stack, in place.
 
-    Row i is bit-identical to block_eigvals(blocks[i]). Orders 1 and 2 use
-    its closed forms; larger orders run the same cyclic Jacobi iteration,
-    vectorized across the stack only: the same (p, q) order, each block's
-    own convergence and skip thresholds, its convergence tested at the
-    start of each sweep, and the same ConvergenceError. A converged block
-    leaves the stack.
+    Returns each block's diagonal at convergence, unsorted. A block has
+    converged when, at the start of a sweep, its off-diagonal Frobenius
+    mass is at most 1e-14 times its own ||A||_F; it then leaves the stack.
+    The sweep count is capped at 100. While two or more blocks are live
+    they are swept together by _stack_sweep; a lone block is swept by
+    _scalar_sweep, which also rotates the eigenvector columns v of a stack
+    of one. Both sweeps are the same steps per block, so a block's result
+    does not depend on the stack it came in.
     """
-    k, n = blocks.shape[0], blocks.shape[1]
-    if n <= 2:
-        return np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
-    w = np.array(blocks, dtype=np.complex128)
-    off_tol = JACOBI_OFF_REL * np.array([float(np.linalg.norm(b)) for b in w])
+    k, n = w.shape[0], w.shape[1]
+    off_tol = JACOBI_OFF_REL * _frobenius(w)
     skip_tol = off_tol / max(1, n)
     diag = np.empty((k, n))
     live = np.arange(k)
@@ -342,14 +323,30 @@ def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
         done = _off_mass_within(w, off_tol)
         if done.any():
             diag[live[done]] = w[done].diagonal(axis1=1, axis2=2).real
+            if done.all():
+                return diag
             keep = ~done
             w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
-            if live.size == 0:
-                return np.sort(diag, axis=1)[:, ::-1].copy()
-        _stack_sweep(w, skip_tol)
+        if live.size == 1:
+            _scalar_sweep(w[0], float(skip_tol[0]), v)
+        else:
+            _stack_sweep(w, skip_tol)
     raise ConvergenceError(
         f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
     )
+
+
+def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
+
+    Row i is bit-identical to block_eigvals(blocks[i]): orders 1 and 2 use
+    its closed forms, larger orders the same Jacobi iteration.
+    """
+    k, n = blocks.shape[0], blocks.shape[1]
+    if n <= 2:
+        return np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
+    diag = _jacobi(np.array(blocks, dtype=np.complex128))
+    return np.sort(diag, axis=1)[:, ::-1].copy()
 
 
 def eigvals_hermitian(a) -> np.ndarray:
@@ -368,7 +365,8 @@ def eig_hermitian(a) -> SpectralDecomposition:
     1e-10 * (1 + max|entry|) before returning.
     """
     am = as_hermitian(a)
-    diag, v = _jacobi_sweep_values(am.entries, want_vectors=True)
+    v = np.eye(am.n, dtype=np.complex128)
+    diag = _jacobi(np.array(am.entries)[None], v)[0]
     order = np.argsort(-diag, kind="stable")
     vals = diag[order]
     vecs = v[:, order]

@@ -97,8 +97,17 @@ def _principal_blocks(entries: np.ndarray):
 
 
 def _gram_blocks(arr: np.ndarray):
-    """Block builder of the Gram matrices of column subsets, one product each."""
-    return lambda idx: np.array([arr[:, s].conj().T @ arr[:, s] for s in idx])
+    """Block builder of the Gram matrices of column subsets: one stacked product per chunk.
+
+    Each block of the stacked product is the matmul of that subset's own
+    columns, so it carries the bits of the per-subset product.
+    """
+
+    def blocks(idx):
+        x = np.ascontiguousarray(arr[:, idx].transpose(1, 0, 2))
+        return x.conj().transpose(0, 2, 1) @ x
+
+    return blocks
 
 
 def _nonempty_2d(mat) -> np.ndarray:

@@ -362,14 +362,14 @@ class TestSolveCounts:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        real = matcore._jacobi_sweep_values
+        real = matcore._jacobi
         arrays = []
 
-        def counting(a, want_vectors):
-            arrays.append(np.array(a))
-            return real(a, want_vectors)
+        def counting(w, v=None):
+            arrays.extend(np.array(w))  # one entry per block of the stack
+            return real(w, v)
 
-        monkeypatch.setattr(matcore, "_jacobi_sweep_values", counting)
+        monkeypatch.setattr(matcore, "_jacobi", counting)
         return arrays
 
     def pair(self):

@@ -471,7 +471,7 @@ class TestUsage:
         assert captured.out == ""
         assert "--tol" in captured.err
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "x"])
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "x", "1e300", "100"])
     def test_scale_not_a_finite_positive_number(self, capsys, scale):
         code = dispatch(["selftest", f"--scale={scale}"])
         captured = capsys.readouterr()

@@ -386,6 +386,14 @@ class TestStackEigvals:
         for tol, expected in [(mass, True), (np.nextafter(mass, 0.0), False)]:
             assert matcore._off_mass_within(w[None], np.array([tol]))[0] == expected
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_block_norms_are_the_single_matrix_norm(self, m):
+        rng = np.random.default_rng(933 + m)
+        scales = 10.0 ** rng.uniform(-150, 150, size=(40, 1, 1))
+        w = np.array([random_hermitian(rng, m) for _ in range(40)]) * scales
+        single = np.array([np.linalg.norm(b) for b in w])
+        assert matcore._frobenius(w).tobytes() == single.tobytes()
+
     def test_overflowing_norm_converges_at_once(self):
         """A block whose norm overflows passes the first convergence test, as alone.
 
@@ -401,6 +409,39 @@ class TestStackEigvals:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             self.assert_rows_match(stack)
+
+    def test_lone_live_block_takes_the_scalar_sweep(self, monkeypatch):
+        """Once one block is live, the scalar kernel sweeps it, with the same bits."""
+        rng = np.random.default_rng(945)
+        m = 6
+        near_diagonal = np.diag(rng.normal(size=m)) + 1e-6 * random_hermitian(rng, m)
+        stack = np.array([
+            self.block(rng, "zero", m),
+            self.block(rng, "diagonal", m),
+            near_diagonal,
+            random_hermitian(rng, m),
+        ])
+        sweeps = []
+        stack_sweep, scalar_sweep = matcore._stack_sweep, matcore._scalar_sweep
+
+        def counting_stack(w, skip_tol):
+            sweeps.append(("stack", w.shape[0]))
+            return stack_sweep(w, skip_tol)
+
+        def counting_scalar(w, skip_tol, v):
+            sweeps.append(("scalar", 1))
+            return scalar_sweep(w, skip_tol, v)
+
+        monkeypatch.setattr(matcore, "_stack_sweep", counting_stack)
+        monkeypatch.setattr(matcore, "_scalar_sweep", counting_scalar)
+        vals = stack_eigvals(stack)
+        kinds = [kind for kind, _ in sweeps]
+        # The zero and diagonal blocks leave before the first sweep; the
+        # near-diagonal block a few sweeps before the dense one.
+        assert set(sweeps) == {("stack", 2), ("scalar", 1)}
+        assert kinds == sorted(kinds, key=["stack", "scalar"].index)
+        for i, blk in enumerate(stack):
+            assert vals[i].tobytes() == block_eigvals(blk).tobytes()
 
     def test_sweep_cap_raises_the_same_error(self, monkeypatch):
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
