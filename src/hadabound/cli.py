@@ -424,6 +424,17 @@ _tolerance = _number_between(0.0, 1.0, "a number in (0, 1)")
 _scale = _number_between(0.0, 100.0, "a number in (0, 100)")
 
 
+def _count(text: str) -> int:
+    """Argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadabound",
@@ -433,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=_tolerance, default=1e-9, help="relative tolerance in (0, 1)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="subset budget")
+        p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET, help="subset budget")
         p.add_argument("--json", dest="json_path", default=None, help="write the report here")
         p.add_argument("--timing", action="store_true", help="include wall time in the report")
 
@@ -483,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--scale", type=_scale, default=1.0, help="trial count multiplier in (0, 100)")
     common(p)
 

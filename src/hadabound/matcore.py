@@ -12,7 +12,11 @@ a single matrix (a carrier's spectrum, eig_hermitian) is a stack of one,
 the subset scans pass whole stacks through stack_eigvals. Thresholds,
 norms and convergence are per block, and a sweep over the stack is the
 single-matrix sweep vectorized across it, so each block's spectrum is
-bit-identical to its solve alone.
+bit-identical to its solve alone. The single-matrix sweep rotates each
+pair of rows or columns in place; the stack sweep assigns fresh products.
+Both keep every complex coefficient the left operand of its product,
+because numpy's complex multiply may be fused and is then not symmetric
+in the last bit.
 
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
@@ -167,6 +171,16 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
+def _rotate(pair: np.ndarray, coef: np.ndarray, prod: np.ndarray) -> None:
+    """Mix the two rows of a (2, n) view in place, through a (2, 2, n) scratch.
+
+    Row i becomes coef[i, 0] * pair[0] + coef[i, 1] * pair[1]; coef is
+    (2, 2, 1) and each coefficient is the left operand of its product.
+    """
+    np.multiply(coef, pair, out=prod)
+    np.add(prod[:, 0], prod[:, 1], out=pair)
+
+
 def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
     """One cyclic Jacobi sweep over one matrix, in place; rotates v's columns too.
 
@@ -174,40 +188,58 @@ def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
     visiting the upper triangle in row-major order. Rotations on entries of
     at most skip_tol cannot move the off-diagonal mass above the
     convergence threshold, so they are skipped.
+
+    Columns p and q, then rows p and q, then v's columns p and q are each
+    rotated in place through one strided (2, n) view: one multiply and one
+    add per pair. The result is bit-identical to assigning fresh products
+    of copies, c * x + (s * phase) * y, because every product keeps its
+    operand order, the complex coefficient on the left. numpy's complex
+    multiply may be fused (FMA) and is then not symmetric in the last bit:
+    coef * x and x * coef can differ. The coefficients are numpy scalar
+    products of a real and a complex number; the real steps before them are
+    IEEE arithmetic, which Python floats round the same way.
     """
     n = w.shape[0]
+    prod = np.empty((2, 2, n), dtype=np.complex128)
+    # The 2x2 coefficients of the column rotation, then of the row rotation.
+    coef = np.empty(8, dtype=np.complex128)
+    col_coef = coef[:4].reshape(2, 2, 1)
+    row_coef = coef[4:].reshape(2, 2, 1)
+    rows = list(w)
+    wt = w.T
+    vt = None if v is None else v.T
     for p in range(n - 1):
+        row_p = rows[p]
         for q in range(p + 1, n):
-            apq = w[p, q]
-            r = abs(apq)
+            apq = row_p[q]
+            r = float(abs(apq))
             if r <= skip_tol:
                 continue
+            row_q = rows[q]
             phase = apq / r
-            app = w[p, p].real
-            aqq = w[q, q].real
+            phase_conj = np.conj(phase)
+            app = float(row_p[p].real)
+            aqq = float(row_q[q].real)
             tau = (aqq - app) / (2.0 * r)
             t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
             c = 1.0 / math.hypot(1.0, t)
             s = t * c
             # Right multiply by the rotation: columns p and q mix.
-            col_p = w[:, p].copy()
-            col_q = w[:, q].copy()
-            w[:, p] = c * col_p + s * np.conj(phase) * col_q
-            w[:, q] = -s * phase * col_p + c * col_q
+            coef[0] = coef[3] = coef[4] = coef[7] = c
+            coef[1] = s * phase_conj
+            coef[2] = -s * phase
+            pq = slice(p, q + 1, q - p)  # rows (or columns) p and q as one view
+            _rotate(wt[pq], col_coef, prod)
             # Left multiply by its conjugate transpose: rows p and q mix.
-            row_p = w[p, :].copy()
-            row_q = w[q, :].copy()
-            w[p, :] = c * row_p + s * phase * row_q
-            w[q, :] = -s * np.conj(phase) * row_p + c * row_q
+            coef[5] = s * phase
+            coef[6] = -s * phase_conj
+            _rotate(w[pq], row_coef, prod)
             w[p, q] = 0.0
             w[q, p] = 0.0
             w[p, p] = w[p, p].real
             w[q, q] = w[q, q].real
-            if v is not None:
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
+            if vt is not None:
+                _rotate(vt[pq], col_coef, prod)
 
 
 def block_eigvals(w: np.ndarray) -> np.ndarray:
@@ -281,7 +313,8 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
             t = -np.copysign(1.0, tau) / (np.abs(tau) + _hypot_one(tau))
             c = 1.0 / _hypot_one(t)
             s = t * c
-            # The scalar path's products, in its order: (s * phase) * column.
+            # The scalar sweep's products: each coefficient, such as
+            # s * phase, is the left operand of its product.
             c = c[:, None]
             phase_conj = np.conj(phase)
             s_conj = (s * phase_conj)[:, None]

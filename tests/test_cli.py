@@ -479,6 +479,22 @@ class TestUsage:
         assert captured.out == ""
         assert "--scale" in captured.err
 
+    @pytest.mark.parametrize("value", ["-5", "-1", "x", "1.5"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (("kappa", "--b", fixture_path("singular_pair_b.mtx")), "--budget"),
+            (("kruskal", "--a", fixture_path("singular_pair_b.mtx")), "--budget"),
+            (("selftest",), "--seed"),
+        ],
+    )
+    def test_count_not_a_non_negative_integer(self, capsys, command, flag, value):
+        code = dispatch([*command, f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
     def test_small_tolerance_still_runs(self, capsys):
         code, doc = run(
             capsys,

@@ -458,6 +458,88 @@ class TestStackEigvals:
         assert "1 sweeps" in str(scan.value)
 
 
+def reference_scalar_sweep(w, skip_tol, v):
+    """The copy-and-assign sweep that the in-place rotation replaced, kept frozen.
+
+    Each pair of columns or rows is copied out and assigned back from
+    fresh products, with each complex coefficient the left operand.
+    """
+    n = w.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = w[p, q]
+            r = abs(apq)
+            if r <= skip_tol:
+                continue
+            phase = apq / r
+            app = w[p, p].real
+            aqq = w[q, q].real
+            tau = (aqq - app) / (2.0 * r)
+            t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            col_p = w[:, p].copy()
+            col_q = w[:, q].copy()
+            w[:, p] = c * col_p + s * np.conj(phase) * col_q
+            w[:, q] = -s * phase * col_p + c * col_q
+            row_p = w[p, :].copy()
+            row_q = w[q, :].copy()
+            w[p, :] = c * row_p + s * phase * row_q
+            w[q, :] = -s * np.conj(phase) * row_p + c * row_q
+            w[p, q] = 0.0
+            w[q, p] = 0.0
+            w[p, p] = w[p, p].real
+            w[q, q] = w[q, q].real
+            if v is not None:
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp + s * np.conj(phase) * vq
+                v[:, q] = -s * phase * vp + c * vq
+
+
+class TestScalarSweepReference:
+    """The in-place scalar sweep against the frozen reference loop, bit for bit."""
+
+    KINDS = ("complex", "real", "near_hermitian", "diagonal", "ones", "huge", "tiny")
+    # Every kind at every order up to 12 and at 16 and 17; the larger
+    # orders, where one solve takes a second, get the dense complex kinds.
+    ORDERS = (*range(3, 13), 16, 17, 24, 33, 40)
+    LARGE_KINDS = ("complex", "near_hermitian")
+
+    @staticmethod
+    def matrix(rng, kind, n):
+        if kind == "real":
+            return random_hermitian(rng, n).real.astype(np.complex128)
+        if kind == "near_hermitian":
+            # Within the carrier's 1e-12 symmetry tolerance, not exactly Hermitian.
+            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return random_hermitian(rng, n) + 1e-14 * noise
+        if kind == "diagonal":
+            return np.diag(rng.normal(size=n)).astype(np.complex128)
+        if kind == "ones":
+            return np.ones((n, n), dtype=np.complex128)
+        scale = {"complex": 1.0, "huge": 1e100, "tiny": 1e-100}[kind]
+        return random_hermitian(rng, n, scale)
+
+    @staticmethod
+    def solves(a):
+        dec = eig_hermitian(a)
+        return dec.eigenvalues, dec.eigenvectors, block_eigvals(a)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_spectra_match_the_reference(self, monkeypatch, n):
+        rng = np.random.default_rng(960 + n)
+        for kind in self.KINDS if n <= 17 else self.LARGE_KINDS:
+            a = self.matrix(rng, kind, n)
+            got = self.solves(a)
+            with monkeypatch.context() as patched:
+                patched.setattr(matcore, "_scalar_sweep", reference_scalar_sweep)
+                want = self.solves(a)
+            for x, y in zip(got, want):
+                bits = np.ascontiguousarray(x).view(np.uint64)
+                assert np.array_equal(bits, np.ascontiguousarray(y).view(np.uint64)), (kind, n)
+
+
 def test_tol_for_has_absolute_floor():
     assert tol_for(0.0) == 1e-9
     assert tol_for(0.5) == 1e-9
