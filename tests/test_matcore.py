@@ -502,7 +502,7 @@ class TestScalarSweepReference:
 
     KINDS = ("complex", "real", "near_hermitian", "diagonal", "ones", "huge", "tiny")
     # Every kind at every order up to 12 and at 16 and 17; the larger
-    # orders, where one solve takes a second, get the dense complex kinds.
+    # orders, the costliest cases, get the two dense complex kinds only.
     ORDERS = (*range(3, 13), 16, 17, 24, 33, 40)
     LARGE_KINDS = ("complex", "near_hermitian")
 
