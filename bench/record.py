@@ -6,7 +6,10 @@
 `record` runs DIR/perfbench/run.py as a subprocess, once per workload and
 seed (1, 2, 3) at --trace 0 and once per workload at --trace 1 (seed 1),
 each for the run_seconds of DIR/BENCHMARK.json, and keeps each run's
-context line and final JSON line. The file it
+context line and final JSON line. The workloads and end-to-end metrics
+are the ones DIR/BENCHMARK.json lists. It refuses (exit 2) a checkout
+whose tracked files under src/ or perfbench/, or BENCHMARK.json, differ
+from HEAD, since every run is labelled with HEAD's commit. The file it
 writes holds, per workload, the context line of the first run, the
 median over the seeds of each end-to-end metric (with the per-seed
 values), the attempted and failed op counts, and the per-layer metrics
@@ -27,8 +30,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("scan", "dense", "cli", "suites")
-END_TO_END = ("setup_s", "ops_per_s", "bound_ms_mean", "peak_rss_mb")
+# What the harness runs; a change elsewhere does not alter the runs.
+RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
 RUN_TIMEOUT_S = 1800
@@ -50,14 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"context": json.loads(context[len("context "):]), "result": json.loads(lines[-1])}
 
 
-def record_workload(checkout: Path, workload: str, seconds: float) -> dict:
+def record_workload(checkout: Path, workload: str, seconds: float, end_to_end_names) -> dict:
     runs = []
     for seed in SEEDS:
         runs.append(run_once(checkout, workload, seed, seconds, trace=0))
         print(f"{workload} seed {seed}: {runs[-1]['result']['metrics']}", file=sys.stderr)
     traced = run_once(checkout, workload, TRACE_SEED, seconds, trace=1)
     end_to_end = {}
-    for name in END_TO_END:
+    for name in end_to_end_names:
         values = [run["result"]["metrics"][name]["value"] for run in runs]
         end_to_end[name] = {
             "median": statistics.median(values),
@@ -79,13 +82,29 @@ def record_workload(checkout: Path, workload: str, seconds: float) -> dict:
 
 
 def record(args) -> int:
+    # Tracked files under RUN_PATHS that differ from HEAD, staged or not.
+    diff = subprocess.run(
+        ["git", "diff", "--name-only", "HEAD", "--", *RUN_PATHS],
+        cwd=args.checkout, capture_output=True, text=True, check=False,
+    )
+    if diff.returncode != 0:
+        print(f"cannot compare {args.checkout} with HEAD: {diff.stderr.strip()}", file=sys.stderr)
+        return 2
+    if diff.stdout:
+        changed = " ".join(diff.stdout.splitlines())
+        print(f"{args.checkout} differs from HEAD in: {changed}", file=sys.stderr)
+        return 2
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
+    end_to_end_names = [m["name"] for m in spec["end_to_end"]]
     doc = {
         "seconds": seconds,
         "seeds": list(SEEDS),
         "trace_seed": TRACE_SEED,
-        "workloads": {w: record_workload(args.checkout, w, seconds) for w in WORKLOADS},
+        "workloads": {
+            w["name"]: record_workload(args.checkout, w["name"], seconds, end_to_end_names)
+            for w in spec["workloads"]
+        },
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
@@ -112,7 +131,7 @@ def compare(args) -> int:
         for name, cell in before["end_to_end"].items():
             print(_row(name, cell["median"], after["end_to_end"][name]["median"], cell["unit"]))
         for name, cell in before["per_layer"]["metrics"].items():
-            if name in END_TO_END:
+            if name in before["end_to_end"]:
                 continue
             later = after["per_layer"]["metrics"].get(name, {}).get("value")
             print(_row(name, cell["value"], later, cell["unit"]))

@@ -233,19 +233,8 @@ def emit_report(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _inputs_block(args) -> dict:
-    return {
-        "a": getattr(args, "a", None),
-        "b": getattr(args, "b", None),
-        "c": getattr(args, "c", None),
-        "p": getattr(args, "p", None),
-        "scenario": getattr(args, "scenario", None),
-        "m": getattr(args, "m", None),
-        "fraction": getattr(args, "fraction", None),
-        "tol": args.tol,
-        "budget": args.budget,
-        "seed": getattr(args, "seed", None),
-    }
+# The report's inputs block: every command's options, None where absent.
+_INPUT_KEYS = ("a", "b", "c", "p", "scenario", "m", "fraction", "tol", "budget", "seed")
 
 
 def _hermitian_from_file(path: str) -> HermitianMatrix:
@@ -253,70 +242,68 @@ def _hermitian_from_file(path: str) -> HermitianMatrix:
 
 
 def _verdict(fields: dict, checks) -> tuple[int, dict]:
-    """Exit code and results: verified unless a (passed, reason) check failed.
+    """Exit code and results for a handler's (fields, checks).
 
-    The first failing check in order supplies the reason.
+    With checks None the quantity was computed and nothing is verified;
+    otherwise verified unless a (passed, reason) check failed, and the
+    first failing check in order supplies the reason.
     """
+    if checks is None:
+        return 0, {"status": "computed", "reason": None, **fields}
     reason = next((why for passed, why in checks if not passed), None)
     status = "verified" if reason is None else "failed"
     return (0 if reason is None else 1), {"status": status, "reason": reason, **fields}
 
 
-def _cmd_bound(args) -> tuple[int, dict]:
+def _cmd_bound(args) -> tuple[dict, list]:
     a = _hermitian_from_file(args.a)
     b = _hermitian_from_file(args.b)
     if a.n != b.n:
         raise DimensionError(f"operand sizes differ: {a.n} vs {b.n}")
     # A zero diagonal entry makes every floor vacuous; report that before
-    # attempting a definiteness classification.
+    # attempting a definiteness classification. A clearly negative entry
+    # is left to that classification, which rejects B.
     diag = b.diagonal()
-    if float(np.min(diag)) <= tol_for(float(np.max(np.abs(diag))), args.tol):
+    if abs(float(np.min(diag))) <= tol_for(float(np.max(np.abs(diag))), args.tol):
         empty = dict.fromkeys(f.name for f in dataclasses.fields(BoundReport))
         empty.update(n=a.n, min_diag=float(np.min(diag)))
-        return _verdict(empty, [(False, "min_diag is zero")])
+        return empty, [(False, "min_diag is zero")]
     report = quantitative_bound(a, b, args.tol, args.budget)
-    return _verdict(
-        dataclasses.asdict(report), [(report.loewner_verified, "ordering verification failed")]
-    )
+    return dataclasses.asdict(report), [(report.loewner_verified, "ordering verification failed")]
 
 
-def _cmd_classical(args) -> tuple[int, dict]:
+def _cmd_classical(args) -> tuple[dict, list]:
     a = _hermitian_from_file(args.a)
     b = _hermitian_from_file(args.b)
     value = classical_bound(a, b, args.tol)
     actual = float(eigvals_hermitian(hadamard(a, b))[-1])
     ok = value <= actual + tol_for(abs(actual), args.tol)
-    return _verdict(
+    return (
         {"classical_bound": value, "actual_lambda_min": actual},
         [(ok, "bound exceeds the smallest eigenvalue")],
     )
 
 
-def _cmd_kruskal(args) -> tuple[int, dict]:
+def _cmd_kruskal(args) -> tuple[dict, None]:
     arr = parse_matrix(args.a)
-    value = kruskal_rank(arr, args.tol, args.budget)
-    return 0, {"status": "computed", "reason": None, "kruskal_rank": value}
+    return {"kruskal_rank": kruskal_rank(arr, args.tol, args.budget)}, None
 
 
-def _cmd_mu(args) -> tuple[int, dict]:
+def _cmd_mu(args) -> tuple[dict, None]:
     a = _hermitian_from_file(args.a)
+    if not 1 <= args.m <= a.n:
+        raise ValueError(f"--m must lie in [1, {a.n}], got {args.m}")
     result = min_submatrix_eigenvalue(a, args.m, args.budget)
-    return 0, {
-        "status": "computed",
-        "reason": None,
+    return {
         "value": result.value,
         "argmin_subset": list(result.argmin_subset),
         "m": result.order,
-    }
+    }, None
 
 
-def _cmd_kappa(args) -> tuple[int, dict]:
+def _cmd_kappa(args) -> tuple[dict, None]:
     b = _hermitian_from_file(args.b)
-    return 0, {
-        "status": "computed",
-        "reason": None,
-        "kappa_eff": effective_condition_number(b, args.tol),
-    }
+    return {"kappa_eff": effective_condition_number(b, args.tol)}, None
 
 
 def _certificate_checks(cert) -> list[tuple[bool, str]]:
@@ -326,83 +313,58 @@ def _certificate_checks(cert) -> list[tuple[bool, str]]:
     ]
 
 
-def _cmd_projection(args) -> tuple[int, dict]:
+def _cmd_projection(args) -> tuple[dict, list]:
     c = _hermitian_from_file(args.c)
     p = parse_matrix(args.p)
     cert = projection_certificate(c, p, args.tol, args.budget)
-    return _verdict(dataclasses.asdict(cert), _certificate_checks(cert))
+    return dataclasses.asdict(cert), _certificate_checks(cert)
 
 
-def _cmd_certify_indefinite(args) -> tuple[int, dict]:
+def _cmd_certify_indefinite(args) -> tuple[dict, list]:
+    if args.c is not None and (args.a is not None or args.fraction is not None):
+        raise ValueError("--c cannot be combined with --a or --fraction")
+    if args.c is None and args.a is None:
+        raise ValueError("provide --c, or --a with an optional --fraction")
+    fraction = 1.0 if args.fraction is None else args.fraction
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"--fraction must lie in (0, 1], got {args.fraction!r}")
     b = _hermitian_from_file(args.b)
     shift = None
     if args.c is not None:
         c = _hermitian_from_file(args.c)
-    elif args.a is not None:
-        fraction = 1.0 if args.fraction is None else args.fraction
+    else:
         a = _hermitian_from_file(args.a)
         c, shift = shift_construction(a, b, fraction, args.tol, args.budget)
-    else:
-        raise ValueError("provide --c, or --a with an optional --fraction")
     cert = indefinite_certificate(c, b, args.tol, args.budget)
-    return _verdict({"shift": shift, **dataclasses.asdict(cert)}, _certificate_checks(cert))
+    return {"shift": shift, **dataclasses.asdict(cert)}, _certificate_checks(cert)
 
 
-def _cmd_doa_bound(args) -> tuple[int, dict]:
+def _cmd_doa_bound(args) -> tuple[dict, list]:
     scenario = load_doa_scenario(args.scenario)
     report = doa_bound(scenario, args.tol, args.budget)
-    return _verdict(
+    return (
         dataclasses.asdict(report),
         [(report.bound_holds, "bound exceeds the smallest smoothed eigenvalue")],
     )
 
 
-def _cmd_cp_bound(args) -> tuple[int, dict]:
+def _cmd_cp_bound(args) -> tuple[dict, list]:
     scenario = load_cp_scenario(args.scenario)
     report = cp_bound(scenario, args.tol, args.budget)
-    return _verdict(
-        dataclasses.asdict(report),
-        [
-            (report.core_floor_holds, "core floor failed"),
-            (report.m1_floor_holds, "moment floor failed"),
-        ],
-    )
-
-
-def _cmd_selftest(args) -> tuple[int, dict]:
-    results = run_all(seed=args.seed, scale=args.scale)
-    suites = [
-        {
-            "name": r.name,
-            "trials": r.trials,
-            "failures": r.failures,
-            "details": r.details,
-        }
-        for r in results
+    return dataclasses.asdict(report), [
+        (report.core_floor_holds, "core floor failed"),
+        (report.m1_floor_holds, "moment floor failed"),
     ]
+
+
+def _cmd_selftest(args) -> tuple[dict, list]:
+    results = run_all(seed=args.seed, scale=args.scale)
     all_passed = all(r.passed for r in results)
-    return _verdict(
-        {
-            "suites": suites,
-            "total_failures": int(sum(r.failures for r in results)),
-            "all_passed": all_passed,
-        },
-        [(all_passed, "at least one suite failed")],
-    )
-
-
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "classical": _cmd_classical,
-    "kruskal": _cmd_kruskal,
-    "mu": _cmd_mu,
-    "kappa": _cmd_kappa,
-    "projection": _cmd_projection,
-    "certify-indefinite": _cmd_certify_indefinite,
-    "doa-bound": _cmd_doa_bound,
-    "cp-bound": _cmd_cp_bound,
-    "selftest": _cmd_selftest,
-}
+    return {
+        "suites": [dataclasses.asdict(r) for r in results],
+        "total_failures": int(sum(r.failures for r in results)),
+        "all_passed": all_passed,
+    }, [(all_passed, "at least one suite failed")]
 
 
 def _number_between(low: float, high: float, what: str):
@@ -435,69 +397,65 @@ def _count(text: str) -> int:
     return value
 
 
+_REQUIRED = {"required": True}
+
+# The one list of commands: name -> (handler, help line, own options). Each
+# handler returns (fields, checks) for _verdict. Every command also takes
+# _COMMON_OPTIONS, after its own.
+_COMMANDS = {
+    "bound": (_cmd_bound, "certified floor for lambda_min of A o B",
+              {"--a": _REQUIRED, "--b": _REQUIRED}),
+    "classical": (_cmd_classical, "floor lambda_min(A) * min diag(B)",
+                  {"--a": _REQUIRED, "--b": _REQUIRED}),
+    "kruskal": (_cmd_kruskal, "Kruskal rank of a matrix", {"--a": _REQUIRED}),
+    "mu": (_cmd_mu, "minimum submatrix eigenvalue at order m",
+           {"--a": _REQUIRED, "--m": {"type": int, "required": True}}),
+    "kappa": (_cmd_kappa, "effective condition number", {"--b": _REQUIRED}),
+    "projection": (_cmd_projection, "certificate for C o P with a projection P",
+                   {"--c": _REQUIRED, "--p": _REQUIRED}),
+    "certify-indefinite": (
+        _cmd_certify_indefinite,
+        "certificate for C o B with Hermitian C, PSD B",
+        {
+            "--c": {"default": None},
+            "--a": {"default": None, "help": "build C by shifting A down by its floor"},
+            "--b": _REQUIRED,
+            "--fraction": {"type": float, "default": None},
+        },
+    ),
+    "doa-bound": (_cmd_doa_bound, "floor for a smoothed source covariance",
+                  {"--scenario": _REQUIRED}),
+    "cp-bound": (_cmd_cp_bound, "floors for a factor-model moment matrix",
+                 {"--scenario": _REQUIRED}),
+    "selftest": (
+        _cmd_selftest,
+        "run the seeded property suites",
+        {
+            "--seed": {"type": _count, "default": 0},
+            "--scale": {"type": _scale, "default": 1.0,
+                        "help": "trial count multiplier in (0, 100)"},
+        },
+    ),
+}
+
+_COMMON_OPTIONS = {
+    "--tol": {"type": _tolerance, "default": 1e-9, "help": "relative tolerance in (0, 1)"},
+    "--budget": {"type": _count, "default": DEFAULT_BUDGET, "help": "subset budget"},
+    "--json": {"dest": "json_path", "default": None, "help": "write the report here"},
+    "--timing": {"action": "store_true", "help": "include wall time in the report"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadabound",
         description="Certified eigenvalue floors for entrywise matrix products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=_tolerance, default=1e-9, help="relative tolerance in (0, 1)")
-        p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET, help="subset budget")
-        p.add_argument("--json", dest="json_path", default=None, help="write the report here")
-        p.add_argument("--timing", action="store_true", help="include wall time in the report")
-
-    p = sub.add_parser("bound", help="certified floor for lambda_min of A o B")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    common(p)
-
-    p = sub.add_parser("classical", help="floor lambda_min(A) * min diag(B)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    common(p)
-
-    p = sub.add_parser("kruskal", help="Kruskal rank of a matrix")
-    p.add_argument("--a", required=True)
-    common(p)
-
-    p = sub.add_parser("mu", help="minimum submatrix eigenvalue at order m")
-    p.add_argument("--a", required=True)
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("kappa", help="effective condition number")
-    p.add_argument("--b", required=True)
-    common(p)
-
-    p = sub.add_parser("projection", help="certificate for C o P with a projection P")
-    p.add_argument("--c", required=True)
-    p.add_argument("--p", required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "certify-indefinite", help="certificate for C o B with Hermitian C, PSD B"
-    )
-    p.add_argument("--c", default=None)
-    p.add_argument("--a", default=None, help="build C by shifting A down by its floor")
-    p.add_argument("--b", required=True)
-    p.add_argument("--fraction", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("doa-bound", help="floor for a smoothed source covariance")
-    p.add_argument("--scenario", required=True)
-    common(p)
-
-    p = sub.add_parser("cp-bound", help="floors for a factor-model moment matrix")
-    p.add_argument("--scenario", required=True)
-    common(p)
-
-    p = sub.add_parser("selftest", help="run the seeded property suites")
-    p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--scale", type=_scale, default=1.0, help="trial count multiplier in (0, 100)")
-    common(p)
-
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in {**options, **_COMMON_OPTIONS}.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -507,13 +465,14 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    handler = _COMMANDS[args.command][0]
     start = time.perf_counter()
     try:
-        code, results = _COMMANDS[args.command](args)
+        code, results = _verdict(*handler(args))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         doc = {
             "command": args.command,
-            "inputs": _inputs_block(args),
+            "inputs": {key: getattr(args, key, None) for key in _INPUT_KEYS},
             "results": results,
             "timing_ms": elapsed_ms if args.timing else None,
         }

@@ -4,12 +4,14 @@ Everything runs through dispatch() in process, so exit codes and emitted
 JSON are asserted directly without spawning subprocesses.
 """
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hadabound import cli
 from hadabound.cli import (
     dispatch,
     fixture_path,
@@ -159,6 +161,16 @@ class TestBoundCommand:
         assert code == 1
         assert doc["results"]["status"] == "failed"
         assert doc["results"]["reason"] == "min_diag is zero"
+
+    def test_negative_diagonal_is_not_a_vanishing_one(self, tmp_path, capsys):
+        a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(np.eye(2), a_path)
+        write_matrix(np.diag([-5.0, 1.0]), b_path)
+        code = dispatch(["bound", "--a", a_path, "--b", b_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "second factor must be positive semidefinite" in captured.err
 
     def test_indefinite_input_is_a_usage_error(self, capsys):
         code = dispatch(
@@ -495,6 +507,42 @@ class TestUsage:
         assert captured.out == ""
         assert flag in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("mu", "--a", fixture_path("singular_pair_a.mtx"), "--m", "0"), "--m"),
+            (("mu", "--a", fixture_path("singular_pair_a.mtx"), "--m", "-1"), "--m"),
+            (("mu", "--a", fixture_path("singular_pair_a.mtx"), "--m", "4"), "--m"),
+            *[
+                (
+                    ("certify-indefinite", "--a", fixture_path("singular_pair_a.mtx"),
+                     "--b", fixture_path("singular_pair_b.mtx"), "--fraction", value),
+                    "--fraction",
+                )
+                for value in ("nan", "2", "0", "-0.5", "inf")
+            ],
+            (
+                ("certify-indefinite", "--c", fixture_path("indefinite_c.mtx"),
+                 "--a", fixture_path("singular_pair_a.mtx"),
+                 "--b", fixture_path("singular_pair_b.mtx"), "--fraction", "0.5"),
+                "--a",
+            ),
+            (
+                ("certify-indefinite", "--c", fixture_path("indefinite_c.mtx"),
+                 "--b", fixture_path("singular_pair_b.mtx"), "--fraction", "0.5"),
+                "--fraction",
+            ),
+        ],
+        ids=["m0", "m-1", "m4", "fraction-nan", "fraction-2", "fraction-0",
+             "fraction-neg", "fraction-inf", "c-with-a", "c-with-fraction"],
+    )
+    def test_bad_option_value_names_its_flag(self, capsys, argv, flag):
+        code = dispatch(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
     def test_small_tolerance_still_runs(self, capsys):
         code, doc = run(
             capsys,
@@ -614,3 +662,78 @@ def test_fixture_results_are_pinned(capsys, argv, code, results):
     got, doc = run(capsys, *argv)
     assert got == code
     assert json.dumps(doc["results"]) == results
+
+
+# Each subcommand's help line and options, in parser order: option strings,
+# dest, action, required, default, type and help. Pinned instead of the
+# formatted --help text, which differs between Python versions.
+_COMMON = [
+    (("--tol",), "tol", "_StoreAction", False, 1e-09, "_tolerance", "relative tolerance in (0, 1)"),
+    (("--budget",), "budget", "_StoreAction", False, 2000000, "_count", "subset budget"),
+    (("--json",), "json_path", "_StoreAction", False, None, None, "write the report here"),
+    (("--timing",), "timing", "_StoreTrueAction", False, False, None, "include wall time in the report"),
+]
+
+
+def _required(*flags):
+    return [((f,), f[2:], "_StoreAction", True, None, None, None) for f in flags]
+
+
+PINNED_PARSER = {
+    "bound": ("certified floor for lambda_min of A o B", _required("--a", "--b")),
+    "classical": ("floor lambda_min(A) * min diag(B)", _required("--a", "--b")),
+    "kruskal": ("Kruskal rank of a matrix", _required("--a")),
+    "mu": (
+        "minimum submatrix eigenvalue at order m",
+        [*_required("--a"), (("--m",), "m", "_StoreAction", True, None, "int", None)],
+    ),
+    "kappa": ("effective condition number", _required("--b")),
+    "projection": ("certificate for C o P with a projection P", _required("--c", "--p")),
+    "certify-indefinite": (
+        "certificate for C o B with Hermitian C, PSD B",
+        [
+            (("--c",), "c", "_StoreAction", False, None, None, None),
+            (("--a",), "a", "_StoreAction", False, None, None,
+             "build C by shifting A down by its floor"),
+            *_required("--b"),
+            (("--fraction",), "fraction", "_StoreAction", False, None, "float", None),
+        ],
+    ),
+    "doa-bound": ("floor for a smoothed source covariance", _required("--scenario")),
+    "cp-bound": ("floors for a factor-model moment matrix", _required("--scenario")),
+    "selftest": (
+        "run the seeded property suites",
+        [
+            (("--seed",), "seed", "_StoreAction", False, 0, "_count", None),
+            (("--scale",), "scale", "_StoreAction", False, 1.0, "_scale",
+             "trial count multiplier in (0, 100)"),
+        ],
+    ),
+}
+
+
+def test_parser_structure_is_pinned():
+    types = {
+        None: None, int: "int", float: "float",
+        cli._count: "_count", cli._tolerance: "_tolerance", cli._scale: "_scale",
+    }
+    parser = cli.build_parser()
+    assert (parser.prog, parser.description) == (
+        "hadabound", "Certified eigenvalue floors for entrywise matrix products."
+    )
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        choice.dest: (
+            choice.help,
+            [
+                (tuple(a.option_strings), a.dest, type(a).__name__, a.required, a.default,
+                 types[a.type], a.help)
+                for a in sub.choices[choice.dest]._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for choice in sub._choices_actions
+    }
+    want = {name: (line, options + _COMMON) for name, (line, options) in PINNED_PARSER.items()}
+    assert list(got) == list(want)
+    assert got == want
