@@ -17,8 +17,10 @@ of the traced run. Run it on an otherwise idle machine; both files of a
 comparison must come from the same machine.
 
 `compare` prints, per workload, each end-to-end median and per-layer
-metric of both files with the ratio new / old. It refuses two files
-whose runs lasted different times.
+metric of both files with the ratio new / old. It refuses (exit 2) two
+files whose runs lasted different times, or whose context lines of a
+workload differ in cpu, nproc, python or numpy, since then they did not
+come from one machine and toolchain.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from pathlib import Path
 RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
+# Context fields two files of a comparison must share.
+MACHINE_FIELDS = ("cpu", "nproc", "python", "numpy")
 RUN_TIMEOUT_S = 1800
 
 
@@ -121,10 +125,15 @@ def compare(args) -> int:
     if old["seconds"] != new["seconds"]:
         print(f"run lengths differ: {old['seconds']} s vs {new['seconds']} s", file=sys.stderr)
         return 2
-    for w, before in old["workloads"].items():
-        after = new["workloads"].get(w)
-        if after is None:
-            continue
+    pairs = [(w, before, new["workloads"][w]) for w, before in old["workloads"].items()
+             if w in new["workloads"]]
+    for w, before, after in pairs:
+        for field in MACHINE_FIELDS:
+            was, now = before["context"].get(field), after["context"].get(field)
+            if was != now:
+                print(f"{w}: context {field} differs: {was!r} vs {now!r}", file=sys.stderr)
+                return 2
+    for w, before, after in pairs:
         print(f"{w}: commit {before['context']['commit'][:10]} -> {after['context']['commit'][:10]}")
         print(f"  failed ops {before['failed']}/{before['attempted']} -> "
               f"{after['failed']}/{after['attempted']}")

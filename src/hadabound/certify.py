@@ -33,6 +33,7 @@ from .matcore import (
     eigvals_hermitian,
     hadamard,
     is_orthogonal_projection,
+    is_psd,
     rank_numeric,
     tol_for,
 )
@@ -75,8 +76,7 @@ def loewner_check(m, c: float, d, tau_rel: float = DEFAULT_TOL_REL) -> bool:
     dm = as_hermitian(d)
     if mm.n != dm.n:
         raise DimensionError(f"operand sizes differ: {mm.n} vs {dm.n}")
-    diff = HermitianMatrix(mm.entries - float(c) * dm.entries)
-    return classify_psd(diff, tau_rel).is_psd
+    return is_psd(HermitianMatrix(mm.entries - float(c) * dm.entries), tau_rel)
 
 
 @dataclasses.dataclass(frozen=True)

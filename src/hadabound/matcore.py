@@ -12,11 +12,15 @@ a single matrix (a carrier's spectrum, eig_hermitian) is a stack of one,
 the subset scans pass whole stacks through stack_eigvals. Thresholds,
 norms and convergence are per block, and a sweep over the stack is the
 single-matrix sweep vectorized across it, so each block's spectrum is
-bit-identical to its solve alone. The single-matrix sweep rotates each
-pair of rows or columns in place; the stack sweep assigns fresh products.
-Both keep every complex coefficient the left operand of its product,
-because numpy's complex multiply may be fused and is then not symmetric
-in the last bit.
+bit-identical to its solve alone. A scan that asks only which block is
+least, whether any block is dependent, or a sign, passes a question that
+lets a block leave unfinished once its Weyl bracket (its diagonal, its
+off-diagonal mass and a derived rounding margin) settles it; the blocks
+the answer rests on run to convergence. The single-matrix sweep rotates
+each pair of rows or columns in place; the stack sweep assigns fresh
+products. Both keep every complex coefficient the left operand of its
+product, because numpy's complex multiply may be fused and is then not
+symmetric in the last bit.
 
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
@@ -275,12 +279,49 @@ def _frobenius(w: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _off_mass_within(w: np.ndarray, off_tol: np.ndarray) -> np.ndarray:
-    """Per block of a stack: is the off-diagonal Frobenius mass <= off_tol?"""
+def _off_mass(w: np.ndarray) -> np.ndarray:
+    """Per block of a stack: the Frobenius norm of its off-diagonal part."""
     k, n = w.shape[0], w.shape[1]
     off = w.reshape(k, n * n).copy()
     off[:, :: n + 1] = 0.0  # the diagonal of each flattened block
-    return _frobenius(off) <= off_tol
+    return _frobenius(off)
+
+
+def _bracket_margin(n: int) -> float:
+    """Slack of a Weyl bracket, per unit of ||W||_F, for blocks of order n.
+
+    At the start of a sweep, let d be a block's diagonal and e its computed
+    off-diagonal mass. Every eigenvalue its solve returns at convergence
+    lies within e + margin * ||W||_F of the matching entry of sorted d,
+    where ||W||_F is the block's norm at the start of the solve and eps is
+    the machine epsilon. The margin is the sum of:
+
+    - e itself is a rounded sum of n^2 squares and a square root, within
+      (n^2 + 1) eps of the true off-diagonal mass; by Weyl's inequality
+      the current block's eigenvalues lie within the true mass of sorted d;
+    - every rotation still to come is backward stable: the computed update
+      of the two columns and then the two rows, with the annihilated pair
+      and the imaginary diagonal parts set to zero, is an exact unitary
+      similarity of W + Delta with ||Delta||_F below 64 eps ||W||_F (a few
+      units of roundoff per one-sided real plane rotation, Higham, Accuracy
+      and Stability of Numerical Algorithms, ch. 19, doubled for complex
+      arithmetic and again for the two sides). By Weyl, each moves an
+      eigenvalue by at most that much. A solve that returns at all runs at
+      most JACOBI_MAX_SWEEPS sweeps of n(n-1)/2 rotations;
+    - at convergence the off-diagonal mass is at most JACOBI_OFF_REL
+      ||W||_F, so the returned diagonal lies within that of the final
+      iterate's eigenvalues (Weyl again; Demmel and Veselic, "Jacobi's
+      method is more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4),
+      1992, bound the converged eigenvalues the same way);
+    - forming d - e - margin, d + e + margin and e + margin rounds three
+      times, each by at most eps times 3 ||W||_F.
+
+    Counting n^2 rotations per sweep instead of n(n-1)/2 leaves more than
+    64 JACOBI_MAX_SWEEPS n(n+1)/2 eps >= 19200 eps spare, which covers the
+    rounding of e and of the bracket arithmetic, and the drift of ||W||_F
+    under the rotations.
+    """
+    return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
 
 def _hypot_one(x: np.ndarray) -> np.ndarray:
@@ -335,7 +376,7 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
             w[sel, q, q] = w[sel, q, q].real
 
 
-def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.ndarray:
     """The cyclic Jacobi iteration on a (k, n, n) complex128 stack, in place.
 
     Returns each block's diagonal at convergence, unsorted. A block has
@@ -346,20 +387,35 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     _scalar_sweep, which also rotates the eigenvector columns v of a stack
     of one. Both sweeps are the same steps per block, so a block's result
     does not depend on the stack it came in.
+
+    A question, if given, is asked at the start of every sweep which live
+    blocks may leave unfinished. question(d, h) gets each live block's
+    diagonal d (k', n) and bracket half-width h (k'): every eigenvalue the
+    block's converged solve would return lies within h of the matching
+    entry of sorted d (see _bracket_margin). A block converging at this
+    test has h = 0, so its bracket is its result. The question returns a
+    boolean mask of the blocks that leave; their rows are NaN.
     """
     k, n = w.shape[0], w.shape[1]
-    off_tol = JACOBI_OFF_REL * _frobenius(w)
+    fro = _frobenius(w)
+    off_tol = JACOBI_OFF_REL * fro
     skip_tol = off_tol / max(1, n)
-    diag = np.empty((k, n))
+    margin = _bracket_margin(n) * fro
+    diag = np.full((k, n), np.nan)
     live = np.arange(k)
     for _ in range(JACOBI_MAX_SWEEPS):
-        done = _off_mass_within(w, off_tol)
-        if done.any():
+        mass = _off_mass(w)
+        done = out = mass <= off_tol
+        if question is not None:
+            d = w.diagonal(axis1=1, axis2=2).real
+            out = done | question(d, np.where(done, 0.0, mass + margin))
+        if out.any():
             diag[live[done]] = w[done].diagonal(axis1=1, axis2=2).real
-            if done.all():
+            if out.all():
                 return diag
-            keep = ~done
+            keep = ~out
             w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
+            margin = margin[keep]
         if live.size == 1:
             _scalar_sweep(w[0], float(skip_tol[0]), v)
         else:
@@ -369,16 +425,21 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     )
 
 
-def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
+def stack_eigvals(blocks: np.ndarray, question=None) -> np.ndarray:
     """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
 
     Row i is bit-identical to block_eigvals(blocks[i]): orders 1 and 2 use
-    its closed forms, larger orders the same Jacobi iteration.
+    its closed forms, larger orders the same Jacobi iteration. A question
+    (see _jacobi) may let blocks leave unfinished; their rows are NaN. It
+    sees every block, the closed forms as finished ones.
     """
     k, n = blocks.shape[0], blocks.shape[1]
     if n <= 2:
-        return np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
-    diag = _jacobi(np.array(blocks, dtype=np.complex128))
+        vals = np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
+        if question is not None:
+            question(vals, np.zeros(k))
+        return vals
+    diag = _jacobi(np.array(blocks, dtype=np.complex128), question=question)
     return np.sort(diag, axis=1)[:, ::-1].copy()
 
 
@@ -430,6 +491,40 @@ def classify_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> PsdClassification:
     else:
         kind = PsdKind.POSITIVE_SEMIDEFINITE_SINGULAR
     return PsdClassification(kind, lam_min)
+
+
+class _PsdSign:
+    """The question of is_psd: classify_psd's verdict, from a Weyl bracket.
+
+    The matrix is PSD when lambda_min >= -tol_for(lambda_max). tol_for is
+    nondecreasing, so the lower lambda_min bracket clearing the threshold
+    of the lower lambda_max bracket settles True, and the upper lambda_min
+    bracket below the threshold of the upper lambda_max bracket settles
+    False. The one block then leaves.
+    """
+
+    def __init__(self, tau_rel: float):
+        self.tau_rel = tau_rel
+        self.psd = None
+
+    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        low, top, half = float(d[0].min()), float(d[0].max()), float(h[0])
+        if low - half >= -tol_for(top - half, self.tau_rel):
+            self.psd = True
+        elif low + half < -tol_for(top + half, self.tau_rel):
+            self.psd = False
+        return np.array([self.psd is not None])
+
+
+def is_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> bool:
+    """classify_psd(a, tau_rel).is_psd, from a solve that stops once it is settled.
+
+    For a matrix whose spectrum nothing else reads: the carrier's cached
+    spectrum is neither read nor filled.
+    """
+    sign = _PsdSign(tau_rel)
+    stack_eigvals(as_hermitian(a).entries[None], sign)
+    return sign.psd
 
 
 def rank_numeric(a, tau_rel: float = DEFAULT_TOL_REL) -> int:

@@ -4,7 +4,10 @@ Minimum submatrix eigenvalues, Kruskal rank, the effective condition
 number (largest positive eigenvalue over smallest positive eigenvalue),
 the floor order and subset singular-value minima. All subset scans share
 one lexicographic kernel under a hard enumeration budget, so results and
-reported argmin subsets are deterministic.
+reported argmin subsets are deterministic. Each scan carries its question
+(which block is least, or is any block dependent) into the eigensolver,
+so a block leaves unfinished once its Weyl bracket answers it; the blocks
+the answer rests on are solved to convergence, so no result moves.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .matcore import (
     DEFAULT_TOL_REL,
     HermitianMatrix,
     as_hermitian,
-    block_eigvals,
     classify_psd,
     eigvals_hermitian,
     rank_numeric,
@@ -68,26 +70,76 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
     return HermitianMatrix((block + block.conj().T) / 2.0)
 
 
-def _block_spectra(n: int, m: int, budget: int, blocks, *, whole: bool = False):
-    """The one subset scan: (subset, eigenvalues of its Hermitian block), lazily.
+class _Least:
+    """The question of a minimum scan: which block's lambda_min is least?
+
+    best is the least upper bracket of lambda_min, or finished value, seen
+    so far, across chunks. A block whose lower bracket lies above it
+    cannot be the minimum or tie with it, so it leaves. The blocks kept run
+    to convergence, so the least value and its first argmin are those of
+    a scan that solves every block.
+    """
+
+    settled = False
+
+    def __init__(self):
+        self.best = math.inf
+
+    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        low = d.min(axis=1)
+        # A NaN bracket would make the minimum NaN; min keeps the old best then.
+        self.best = min(self.best, float(np.min(low + h)))
+        return low - h > self.best
+
+
+class _AnyDependent:
+    """The question of a Kruskal level: is any block dependent?
+
+    A block is dependent when its lambda_min is at most threshold(its
+    lambda_max); threshold is nondecreasing, so a decision taken at the
+    worst end of both brackets holds for every value inside them. A block
+    leaves as independent once its lower lambda_min bracket clears the
+    threshold of its upper lambda_max bracket. Once a block's upper
+    lambda_min bracket is at most the threshold of its lower lambda_max
+    bracket, the level is settled: every block leaves and the scan stops.
+    """
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self.settled = False
+
+    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        low, top = d.min(axis=1), d.max(axis=1)
+        self.settled = self.settled or bool(np.any(low + h <= self.threshold(top - h)))
+        if self.settled:
+            return np.ones(len(d), dtype=bool)
+        return low - h > self.threshold(top + h)
+
+
+def _block_spectra(n: int, m: int, budget: int, blocks, question, *, whole: bool = False):
+    """The one subset scan: (subset, eigenvalues) of each block the question kept, lazily.
 
     Subsets are drawn from iter_subsets in chunks, and blocks(idx) builds a
     chunk's (k, m, m) stack from its (k, m) index array; each stack is
-    solved at once. By default the chunks grow 1, 2, 4, ... up to
+    solved at once, and the question (see matcore._jacobi) lets the
+    blocks it needs no more leave unfinished. No chunk is drawn once the
+    question is settled. By default the chunks grow 1, 2, 4, ... up to
     SCAN_CHUNK_MAX, so a consumer that stops at the first subset has drawn
     and solved only that one. A scan that visits every subset anyway
     passes whole=True and draws SCAN_CHUNK_MAX subsets from the first.
     """
     subsets = iter_subsets(n, m, budget)
     size = SCAN_CHUNK_MAX if whole else 1
-    while chunk := list(itertools.islice(subsets, size)):
+    while not question.settled and (chunk := list(itertools.islice(subsets, size))):
         stack = blocks(np.array(chunk))
         try:
-            spectra = stack_eigvals(stack)
+            spectra = stack_eigvals(stack, question)
         except ConvergenceError:
             # Solve one by one, so the blocks before the failing one still come out.
-            spectra = map(block_eigvals, stack)
-        yield from zip(chunk, spectra)
+            spectra = (stack_eigvals(block[None], question)[0] for block in stack)
+        for subset, vals in zip(chunk, spectra):
+            if not np.isnan(vals[0]):
+                yield subset, vals
         size = min(2 * size, SCAN_CHUNK_MAX)
 
 
@@ -149,7 +201,7 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
         return MinSubmatrixResult(value, tuple(range(n)), n)
     # min keeps the first of equal keys: the lexicographically first argmin.
     subset, vals = min(
-        _block_spectra(n, m, budget, _principal_blocks(am.entries), whole=True),
+        _block_spectra(n, m, budget, _principal_blocks(am.entries), _Least(), whole=True),
         key=lambda item: item[1][-1],
     )
     return MinSubmatrixResult(float(vals[-1]), subset, m)
@@ -189,22 +241,24 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     psd = herm is not None and classify_psd(herm, tau_rel).is_psd
     if psd:
         blocks = _principal_blocks(herm.entries)
-        dependent = lambda vals: vals[-1] <= tol_for(vals[0], tau_rel)
+        # tol_for(lambda_max, tau_rel), elementwise and bit for bit.
+        threshold = lambda top: tau_rel * np.maximum(1.0, top)
         rank = rank_numeric(herm, tau_rel)
     else:
         gram_vals = eigvals_hermitian(arr.conj().T @ arr)
         tau = tol_for(max(0.0, float(gram_vals[0])), tau_rel)
         blocks = _gram_blocks(arr)
-        dependent = lambda vals: vals[-1] <= tau
+        threshold = lambda top: tau
         rank = int(np.sum(gram_vals > tau))
 
     def independent(q: int, whole: bool = False) -> bool:
+        question = _AnyDependent(threshold)
         if psd and q == n_cols:  # the block is the matrix itself, already solved
-            spectra = [eigvals_hermitian(herm)]
+            question(eigvals_hermitian(herm)[None], np.zeros(1))
         else:
-            scan = _block_spectra(n_cols, q, budget, blocks, whole=whole)
-            spectra = (vals for _, vals in scan)
-        return not any(map(dependent, spectra))
+            for _ in _block_spectra(n_cols, q, budget, blocks, question, whole=whole):
+                pass  # the question reads every block
+        return not question.settled
 
     def walk_up(q: int) -> int:
         while q < n_cols and independent(q + 1):
@@ -259,6 +313,6 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")
-    scan = _block_spectra(n_cols, m, budget, _gram_blocks(arr), whole=True)
+    scan = _block_spectra(n_cols, m, budget, _gram_blocks(arr), _Least(), whole=True)
     lam_min = min(vals[-1] for _, vals in scan)
     return math.sqrt(max(0.0, float(lam_min)))

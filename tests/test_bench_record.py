@@ -103,3 +103,23 @@ def test_compare_refuses_different_run_lengths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "run lengths differ" in captured.err
+
+
+@pytest.mark.parametrize("field", record.MACHINE_FIELDS)
+def test_compare_refuses_files_from_different_machines(tmp_path, capsys, field):
+    context = {"commit": "c", "cpu": "x", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
+    workload = {"context": context, "end_to_end": {}, "attempted": 1, "failed": 0,
+                "per_layer": {"metrics": {}}}
+    paths = []
+    for name, value in (("old", context[field]), ("new", "other")):
+        path = tmp_path / f"{name}.json"
+        doc = {"seconds": 22, "workloads": {"only": {**workload,
+                                                     "context": {**context, field: value}}}}
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    assert record.main(["compare", paths[0], paths[0]]) == 0
+    capsys.readouterr()
+    assert record.main(["compare", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"context {field} differs" in captured.err

@@ -90,6 +90,20 @@ class TestLoewnerCheck:
         with pytest.raises(DimensionError):
             loewner_check(A, 1.0, np.eye(2))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stopped_solve_agrees_with_the_full_spectrum(self, n):
+        """Shifts on both sides of the PSD threshold, and within rounding of it."""
+        rng = np.random.default_rng(470 + n)
+        d = matcore.HermitianMatrix(np.eye(n))
+        for _ in range(4):
+            f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = matcore.HermitianMatrix((f + f.conj().T) / 2.0 * 10.0 ** rng.uniform(-3, 3))
+            vals = np.linalg.eigvalsh(m.entries)
+            tau = 1e-9 * max(1.0, float(vals[-1] - vals[0]))
+            for c in vals[0] + tau * np.array([-1e3, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 1e3]):
+                diff = matcore.HermitianMatrix(m.entries - float(c) * d.entries)
+                assert loewner_check(m, c, d) is classify_psd(diff).is_psd
+
 
 class TestQuantitativeBound:
     def test_golden_report(self):
@@ -365,9 +379,9 @@ class TestSolveCounts:
         real = matcore._jacobi
         arrays = []
 
-        def counting(w, v=None):
+        def counting(w, v=None, question=None):
             arrays.extend(np.array(w))  # one entry per block of the stack
-            return real(w, v)
+            return real(w, v, question)
 
         monkeypatch.setattr(matcore, "_jacobi", counting)
         return arrays

@@ -447,9 +447,9 @@ class TestScanChunks:
     def test_exhaustive_scan_solves_whole_chunks(self, monkeypatch, scan):
         solves = []
 
-        def counting(stack):
+        def counting(stack, question=None):
             solves.append(len(stack))
-            return matcore.stack_eigvals(stack)
+            return matcore.stack_eigvals(stack, question)
 
         monkeypatch.setattr(submatrix, "stack_eigvals", counting)
         rng = np.random.default_rng(862)
@@ -465,10 +465,144 @@ class TestScanChunks:
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
         a = np.eye(5)
         a[1, 4] = a[4, 1] = 0.5  # (0, 1, 2) and (0, 1, 3) diagonal, (0, 1, 4) not
-        scan = submatrix._block_spectra(5, 3, 100, submatrix._principal_blocks(a))
+        blocks = submatrix._principal_blocks(a)
+        scan = submatrix._block_spectra(5, 3, 100, blocks, submatrix._Least())
         assert [next(scan)[0] for _ in range(2)] == [(0, 1, 2), (0, 1, 3)]
         with pytest.raises(ConvergenceError):
             next(scan)
+
+
+def per_subset_mu(a, m):
+    """(least block lambda_min, its first subset), one block_eigvals per subset."""
+    best = None
+    for s in itertools.combinations(range(a.shape[0]), m):
+        value = block_eigvals(a[np.ix_(s, s)])[-1]
+        if best is None or value < best[0]:
+            best = (value, s)
+    return float(best[0]), best[1]
+
+
+def per_subset_sv(v, m):
+    """Least smallest singular value over m-column subsets, one Gram block at a time."""
+    lam = min(
+        block_eigvals(v[:, s].conj().T @ v[:, s])[-1]
+        for s in itertools.combinations(range(v.shape[1]), m)
+    )
+    return math.sqrt(max(0.0, float(lam)))
+
+
+class TestEarlyLeave:
+    """Blocks leave a scan once their Weyl bracket answers it; no result moves."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_exact_ties_keep_the_first_subset(self, m):
+        res = min_submatrix_eigenvalue(np.eye(9), m)
+        assert (res.value, res.argmin_subset) == (1.0, tuple(range(m)))
+
+    def test_repeated_columns_keep_the_kruskal_rank(self):
+        rng = np.random.default_rng(880)
+        for n, r in [(6, 4), (8, 5), (9, 6)]:
+            f = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+            f[:, 3] = f[:, 1]
+            for mat in (f, f.conj().T @ f):
+                assert kruskal_rank(mat) == upward_kruskal_rank(mat) == 1
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_scaled_blocks(self, scale):
+        rng = np.random.default_rng(881)
+        for n, r, m in [(7, 3, 4), (8, 4, 4), (8, 5, 4)]:
+            f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+            a = (f @ f.conj().T) * scale
+            v = f.conj().T * math.sqrt(scale)
+            res = min_submatrix_eigenvalue(a, m)
+            value, subset = per_subset_mu(a, m)
+            assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+            assert kruskal_rank(a) == upward_kruskal_rank(a)
+            assert kruskal_rank(v) == upward_kruskal_rank(v)
+            assert repr(min_subset_singular_value(v, r)) == repr(per_subset_sv(v, r))
+
+    def test_lambda_min_exactly_on_the_kruskal_threshold(self):
+        """The least level-4 lambda_min is the threshold: dependent at equality."""
+        rng = np.random.default_rng(882)
+        f = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        a = f @ f.conj().T
+        a /= 2.0 * np.linalg.eigvalsh(a)[-1]  # every lambda_max below 1: threshold = tau_rel
+        on = min(
+            block_eigvals(a[np.ix_(s, s)])[-1] for s in itertools.combinations(range(8), 4)
+        )
+        assert on > 0.0
+        below = np.nextafter(on, 0.0)
+        assert upward_kruskal_rank(a, on) == 3
+        assert upward_kruskal_rank(a, below) >= 4
+        assert kruskal_rank(a, tau_rel=on) == 3
+        assert kruskal_rank(a, tau_rel=below) == upward_kruskal_rank(a, below)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_subset_scans_bit_for_bit(self, seed):
+        rng = np.random.default_rng(890 + seed)
+        n, m = 7, 4
+        for rank in (m - 1, m, n):  # lambda_min rounding noise, separated, full rank
+            f = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            a = f @ f.conj().T
+            res = min_submatrix_eigenvalue(a, m)
+            value, subset = per_subset_mu(a, m)
+            assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+            assert kruskal_rank(a) == upward_kruskal_rank(a)
+            v = f.conj().T
+            assert kruskal_rank(v) == upward_kruskal_rank(v)
+            assert repr(min_subset_singular_value(v, m)) == repr(per_subset_sv(v, m))
+        h = random_hermitian(rng, n)
+        res = min_submatrix_eigenvalue(h, m)
+        value, subset = per_subset_mu(h, m)
+        assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+
+    @pytest.fixture
+    def block_sweeps(self, monkeypatch):
+        """Blocks swept, summed over every sweep: a stack sweep counts its stack."""
+        count = [0]
+        stack_sweep, scalar_sweep = matcore._stack_sweep, matcore._scalar_sweep
+
+        def stack(w, skip_tol):
+            count[0] += len(w)
+            stack_sweep(w, skip_tol)
+
+        def scalar(w, skip_tol, v):
+            count[0] += 1
+            scalar_sweep(w, skip_tol, v)
+
+        monkeypatch.setattr(matcore, "_stack_sweep", stack)
+        monkeypatch.setattr(matcore, "_scalar_sweep", scalar)
+        return count
+
+    def test_kruskal_level_sweeps_fewer_blocks(self, block_sweeps):
+        rng = np.random.default_rng(883)
+        f = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        a = f @ f.conj().T
+        blocks = submatrix._principal_blocks(a)
+        question = submatrix._AnyDependent(lambda top: 1e-9 * np.maximum(1.0, top))
+        for _ in submatrix._block_spectra(9, 4, 1000, blocks, question, whole=True):
+            pass
+        assert not question.settled  # level 4 of a generic rank-4 matrix passes
+        asked = block_sweeps[0]
+        block_sweeps[0] = 0
+        matcore.stack_eigvals(blocks(np.array(list(itertools.combinations(range(9), 4)))))
+        assert 0 < asked < block_sweeps[0]
+
+    def test_mu_argmin_never_leaves(self, block_sweeps):
+        rng = np.random.default_rng(884)
+        f = rng.normal(size=(10, 6)) + 1j * rng.normal(size=(10, 6))
+        a = f @ f.conj().T  # rank A = m, so the brackets separate
+        blocks = submatrix._principal_blocks(a)
+        kept = dict(
+            submatrix._block_spectra(10, 6, 1000, blocks, submatrix._Least(), whole=True)
+        )
+        asked = block_sweeps[0]
+        block_sweeps[0] = 0
+        matcore.stack_eigvals(blocks(np.array(list(itertools.combinations(range(10), 6)))))
+        assert 0 < asked < block_sweeps[0]
+        value, subset = per_subset_mu(a, 6)
+        assert subset in kept and repr(float(kept[subset][-1])) == repr(value)
+        assert len(kept) < math.comb(10, 6)
 
 
 class TestPinnedScans:
