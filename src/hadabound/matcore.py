@@ -316,10 +316,11 @@ def _bracket_margin(n: int) -> float:
     - forming d - e - margin, d + e + margin and e + margin rounds three
       times, each by at most eps times 3 ||W||_F.
 
-    Counting n^2 rotations per sweep instead of n(n-1)/2 leaves more than
-    64 JACOBI_MAX_SWEEPS n(n+1)/2 eps >= 19200 eps spare, which covers the
-    rounding of e and of the bracket arithmetic, and the drift of ||W||_F
-    under the rotations.
+    Counting n^2 rotations per sweep instead of n(n-1)/2 leaves
+    64 JACOBI_MAX_SWEEPS n(n+1)/2 eps spare, at least 38400 eps at the
+    orders a question sees (stack_eigvals solves n <= 2 in closed form).
+    That covers the rounding of e and of the bracket arithmetic, and the
+    drift of ||W||_F under the rotations.
     """
     return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
