@@ -153,15 +153,31 @@ def write_matrix(arr, path: str) -> None:
         fh.write(format_matrix(arr))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, and not bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(doc: dict, field: str) -> int:
+    value = doc[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioFormatError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(obj, field: str) -> list[float]:
+    if not isinstance(obj, list) or not all(map(_is_number, obj)):
+        raise ScenarioFormatError(f"field {field!r} must be a list of numbers, got {obj!r}")
+    return [float(v) for v in obj]
+
+
 def _complex_array(obj, field: str) -> np.ndarray:
     """Numbers stay real; [re, im] pairs become complex entries."""
 
     def convert(cell):
-        if isinstance(cell, (int, float)):
+        if _is_number(cell):
             return complex(cell, 0.0)
-        if isinstance(cell, list) and len(cell) == 2 and all(
-            isinstance(v, (int, float)) for v in cell
-        ):
+        if isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell)):
             return complex(cell[0], cell[1])
         raise ScenarioFormatError(
             f"field {field!r}: entries must be numbers or [re, im] pairs, got {cell!r}"
@@ -197,10 +213,10 @@ def load_doa_scenario(path: str) -> DoaScenario:
     with _scenario(path, ("N", "K", "P", "omega", "sigma_s")) as doc:
         sigma = HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s"))
         return DoaScenario(
-            N=int(doc["N"]),
-            K=int(doc["K"]),
-            P=int(doc["P"]),
-            omega=tuple(float(w) for w in doc["omega"]),
+            N=_integer(doc, "N"),
+            K=_integer(doc, "K"),
+            P=_integer(doc, "P"),
+            omega=tuple(_numbers(doc["omega"], "omega")),
             sigma_s=sigma,
         )
 
@@ -214,8 +230,8 @@ def load_cp_scenario(path: str) -> CpScenario:
         g_field = doc["g"]
         if not isinstance(g_field, list) or not g_field:
             raise ScenarioFormatError("field 'g' must be a nonempty list of vectors")
-        scores = tuple(np.asarray([float(v) for v in vec], dtype=np.float64) for vec in g_field)
-        return CpScenario(d=int(doc["d"]), a_load=a.real, b_load=b.real, g=scores)
+        scores = tuple(np.asarray(_numbers(vec, "g"), dtype=np.float64) for vec in g_field)
+        return CpScenario(d=_integer(doc, "d"), a_load=a.real, b_load=b.real, g=scores)
 
 
 def fixture_path(name: str) -> str:

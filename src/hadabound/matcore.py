@@ -20,7 +20,8 @@ the answer rests on run to convergence. The single-matrix sweep rotates
 each pair of rows or columns in place; the stack sweep assigns fresh
 products. Both keep every complex coefficient the left operand of its
 product, because numpy's complex multiply may be fused and is then not
-symmetric in the last bit.
+symmetric in the last bit. A block whose squared norm would overflow or
+underflow is solved scaled by an exact power of two and scaled back.
 
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
@@ -325,6 +326,61 @@ def _bracket_margin(n: int) -> float:
     return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
 
+NORM_BAND = (2.0**-400, 2.0**500)
+# Added to a scaled-back bracket half-width; see _band_exponents.
+_SUBNORMAL_SLACK = 2.0**-1072
+
+
+def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
+    """Scale the blocks of a stack whose norm lies outside NORM_BAND into it, in place.
+
+    Returns each block's binary exponent e: block i was multiplied by 2^-e,
+    and its entry of fro replaced by the new norm; e = 0 for a block left
+    as it is. The band is where the iteration's arithmetic behaves as the
+    derivation of _bracket_margin assumes. For a block with
+    2^-400 <= ||W||_F <= 2^500, and eps the machine epsilon:
+
+    - nothing overflows. Every sum of squares _frobenius forms, of the
+      block or of its off-diagonal part at any sweep, is at most about
+      ||W||_F^2 <= 2^1000, far below the largest double (2^1024); the
+      rotations keep the norm up to rounding. The other intermediates are
+      bounded by a few ||W||_F, or, like tau and t, by n / JACOBI_OFF_REL.
+    - underflow costs nothing the margin does not already cover. A product
+      whose exact value lies below the smallest normal double (2^-1022) is
+      off by at most 2^-1075. A norm or mass sums at most 2 n^2 products,
+      so its square is off by at most 2 n^2 2^-1075 absolutely, below
+      eps (JACOBI_OFF_REL ||W||_F)^2 >= 2^-52 2^-93 2^-800 = 2^-945 for
+      every n below 2^64: the mass is as accurate near the convergence
+      threshold as it is without underflow. A rotation's underflows add at
+      most 8 n 2^-1075 to its backward error, far below the
+      64 eps ||W||_F >= 2^-446 the margin allows it.
+
+    Outside the band a norm of 1.35e154 or more overflows to inf, so the
+    block would pass the convergence test at once; below about 1e-140 the
+    mass near the threshold loses bits to underflow, and further down it
+    vanishes, with the same effect. Such a block (a zero block aside, which
+    converges at once anyway) is multiplied by 2^-e, where
+    2^(e-1) <= max(|Re w_ij|, |Im w_ij|) < 2^e: its largest part lies in
+    [1/2, 1) and its norm in [1/2, 2n], inside the band. A power of two
+    scales exactly, so the scaled solve returns 2^-e times the block's
+    eigenvalues with the accuracy of an in-band solve, and the caller
+    multiplies by 2^e. That is exact too, unless the result falls below
+    2^-1022, where it rounds by at most 2^-1075. The bracket a question
+    sees rounds that way at most four times (d and h scaled back, h plus
+    the slack, d +- h), so _SUBNORMAL_SLACK = 2^-1072 is added to the
+    half-width of a scaled block; for a normal result the margin's own
+    rounding allowance already covers these roundings.
+    """
+    low, high = NORM_BAND
+    out = ~((fro >= low) & (fro <= high))
+    exp = np.zeros(w.shape[0], dtype=np.int32)
+    parts = w.view(np.float64)
+    exp[out] = np.frexp(np.abs(parts[out]).max(axis=(1, 2)))[1]
+    parts[out] = np.ldexp(parts[out], -exp[out, None, None])
+    fro[out] = _frobenius(w[out])
+    return exp
+
+
 def _hypot_one(x: np.ndarray) -> np.ndarray:
     """math.hypot(1, x) elementwise; np.hypot rounds differently."""
     return np.fromiter(map(math.hypot, itertools.repeat(1.0), x.tolist()), float, x.size)
@@ -396,9 +452,17 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
     entry of sorted d (see _bracket_margin). A block converging at this
     test has h = 0, so its bracket is its result. The question returns a
     boolean mask of the blocks that leave; their rows are NaN.
+
+    A block whose norm lies outside NORM_BAND is solved scaled by a power
+    of two (see _band_exponents); its diagonal, and the d and h its
+    question sees, are scaled back.
     """
     k, n = w.shape[0], w.shape[1]
-    fro = _frobenius(w)
+    with np.errstate(over="ignore"):
+        fro = _frobenius(w)
+    exp = None
+    if not (NORM_BAND[0] <= fro.min() and fro.max() <= NORM_BAND[1]):
+        exp = _band_exponents(w, fro)
     off_tol = JACOBI_OFF_REL * fro
     skip_tol = off_tol / max(1, n)
     margin = _bracket_margin(n) * fro
@@ -409,11 +473,16 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
         done = out = mass <= off_tol
         if question is not None:
             d = w.diagonal(axis1=1, axis2=2).real
-            out = done | question(d, np.where(done, 0.0, mass + margin))
+            h = np.where(done, 0.0, mass + margin)
+            if exp is not None:
+                e = exp[live]
+                d = np.ldexp(d, e[:, None])
+                h = np.ldexp(h, e) + np.where(done | (e == 0), 0.0, _SUBNORMAL_SLACK)
+            out = done | question(d, h)
         if out.any():
             diag[live[done]] = w[done].diagonal(axis1=1, axis2=2).real
             if out.all():
-                return diag
+                return diag if exp is None else np.ldexp(diag, exp[:, None])
             keep = ~out
             w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
             margin = margin[keep]

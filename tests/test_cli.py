@@ -277,6 +277,27 @@ class TestScalarCommands:
         )
 
 
+    def test_classical_above_the_norm_band(self, tmp_path, capsys):
+        """||A||_F^2 overflows: the floor must still sit below lambda_min(A o B)."""
+        a, b = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(A * 1e160, a)
+        write_matrix(B, b)
+        code, doc = run(capsys, "classical", "--a", a, "--b", b)
+        res = doc["results"]
+        lapack = np.linalg.eigvalsh(A * 1e160 * B)[0]  # 4.38e159
+        assert res["actual_lambda_min"] == pytest.approx(lapack, rel=1e-12)
+        assert abs(res["classical_bound"]) <= 1e-12 * 1e160 * np.linalg.norm(A)
+        assert (code, res["status"]) == (0, "verified")
+
+    def test_kappa_of_an_indefinite_matrix_above_the_norm_band(self, tmp_path, capsys):
+        path = str(tmp_path / "b.mtx")
+        write_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]) * 1e200, path)
+        code = dispatch(["kappa", "--b", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "positive semidefinite" in captured.err
+
+
 class TestCertificateCommands:
     def test_projection_golden(self, capsys):
         code, doc = run(
@@ -425,6 +446,39 @@ class TestScenarioCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
+
+    DOA = {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": [[1.0, 1.0], [1.0, 1.0]]}
+    CP = {"d": 2, "A_load": [[1.0, 0.0], [0.0, 1.0]], "B_load": [[1.0, 0.0], [0.0, 1.0]],
+          "g": [[1.0, 0.5], [-0.3, 0.8]]}
+
+    @pytest.mark.parametrize(
+        "command,edit,field",
+        [
+            ("doa-bound", {"N": 4.9, "P": 2.7}, "N"),
+            ("doa-bound", {"P": 2.7}, "P"),
+            ("doa-bound", {"N": "4"}, "N"),
+            ("doa-bound", {"K": True}, "K"),
+            ("doa-bound", {"omega": ["-0.5", "0.7"]}, "omega"),
+            ("doa-bound", {"omega": "12"}, "omega"),
+            ("doa-bound", {"omega": [True, 0.7]}, "omega"),
+            ("doa-bound", {"sigma_s": [[True, 1.0], [1.0, 1.0]]}, "sigma_s"),
+            ("doa-bound", {"sigma_s": [[[1.0, False], 1.0], [1.0, 1.0]]}, "sigma_s"),
+            ("cp-bound", {"d": 2.5}, "d"),
+            ("cp-bound", {"d": True}, "d"),
+            ("cp-bound", {"g": [["1.0", 0.5]]}, "g"),
+            ("cp-bound", {"g": ["12"]}, "g"),
+            ("cp-bound", {"A_load": [[True, 0.0], [0.0, 1.0]]}, "A_load"),
+            ("cp-bound", {"B_load": [[1.0, "0"], [0.0, 1.0]]}, "B_load"),
+        ],
+    )
+    def test_malformed_numbers_name_the_field(self, tmp_path, capsys, command, edit, field):
+        """Only JSON integers count as integers, only JSON numbers as entries."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**(self.DOA if command == "doa-bound" else self.CP), **edit}))
+        code = dispatch([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {path}: field {field!r}")
 
     def test_cp_non_finite_loading(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -395,9 +395,10 @@ class TestStackEigvals:
         assert matcore._frobenius(w).tobytes() == single.tobytes()
 
     def test_overflowing_norm_converges_at_once(self):
-        """A block whose norm overflows passes the first convergence test, as alone.
+        """A block whose norm overflows is solved in a stack as alone, without warnings.
 
-        Its off_tol is inf, so inf - inf must not leave the test undecided.
+        Its norm leaves NORM_BAND, so both solves scale it by the same power
+        of two; neither may idle through the sweep cap or warn on the way.
         """
         big = np.zeros((3, 3), dtype=np.complex128)
         big[0, 1] = big[1, 0] = 1e155
@@ -456,6 +457,47 @@ class TestStackEigvals:
             min_submatrix_eigenvalue(a, 4)
         assert str(single.value) == str(stacked.value) == str(scan.value)
         assert "1 sweeps" in str(scan.value)
+
+
+class TestOutOfBandNorms:
+    """Blocks whose squared norm overflows or underflows, scaled by a power of two."""
+
+    KINDS = ("complex", "psd_rank_deficient", "real")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_stack_and_single_match_lapack(self, m, scale):
+        rng = np.random.default_rng(950 + m)
+        blocks = np.array([TestStackEigvals.block(rng, kind, m) for kind in self.KINDS])
+        vals = stack_eigvals(blocks * scale)
+        for blk, row in zip(blocks, vals):
+            assert row.tobytes() == block_eigvals(blk * scale).tobytes()
+            ref = np.linalg.eigvalsh(blk * scale)[::-1]
+            assert np.max(np.abs(row - ref)) <= 1e-12 * scale * np.linalg.norm(blk)
+
+    @pytest.mark.parametrize("shift", [-700, -530, 520, 700])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        """A block with largest part in [1/2, 1), times 2^k: its spectrum times 2^k."""
+        rng = np.random.default_rng(960)
+        for m in range(3, 9):
+            blk = random_hermitian(rng, m)
+            blk /= 2.0 ** math.frexp(np.abs(blk.view(np.float64)).max())[1]
+            scaled = blk * 2.0**shift
+            norm = np.linalg.norm(blk) * 2.0**shift
+            assert not matcore.NORM_BAND[0] <= norm <= matcore.NORM_BAND[1]
+            expected = block_eigvals(blk) * 2.0**shift
+            assert block_eigvals(scaled).tobytes() == expected.tobytes()
+            dec, ref = eig_hermitian(scaled), eig_hermitian(blk)
+            assert dec.eigenvalues.tobytes() == (ref.eigenvalues * 2.0**shift).tobytes()
+            assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+    def test_definiteness_above_the_band(self):
+        k = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        for scale in (1e160, 1e200):
+            assert classify_psd(k * scale).kind is PsdKind.INDEFINITE
+            assert not matcore.is_psd(k * scale)
+            assert classify_psd(A * scale).kind is PsdKind.POSITIVE_SEMIDEFINITE_SINGULAR
+            assert matcore.is_psd(A * scale)
 
 
 def reference_scalar_sweep(w, skip_tol, v):

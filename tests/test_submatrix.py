@@ -521,6 +521,26 @@ class TestEarlyLeave:
             assert kruskal_rank(v) == upward_kruskal_rank(v)
             assert repr(min_subset_singular_value(v, r)) == repr(per_subset_sv(v, r))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_blocks_outside_the_norm_band(self, scale):
+        """Blocks solved scaled by a power of two leave on brackets scaled back."""
+        rng = np.random.default_rng(883)
+        for n, r, m in [(7, 3, 4), (8, 5, 4)]:
+            f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+            a = (f @ f.conj().T) * scale
+            v = f.conj().T * math.sqrt(scale)
+            res = min_submatrix_eigenvalue(a, m)
+            value, subset = per_subset_mu(a, m)
+            assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+            lapack = min(
+                np.linalg.eigvalsh(a[np.ix_(s, s)])[0]
+                for s in itertools.combinations(range(n), m)
+            )
+            assert abs(res.value - lapack) <= 1e-12 * scale * np.linalg.norm(f @ f.conj().T)
+            assert kruskal_rank(a) == upward_kruskal_rank(a)
+            assert kruskal_rank(v) == upward_kruskal_rank(v)
+            assert repr(min_subset_singular_value(v, r)) == repr(per_subset_sv(v, r))
+
     def test_lambda_min_exactly_on_the_kruskal_threshold(self):
         """The least level-4 lambda_min is the threshold: dependent at equality."""
         rng = np.random.default_rng(882)
