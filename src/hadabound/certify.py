@@ -76,7 +76,8 @@ def loewner_check(m, c: float, d, tau_rel: float = DEFAULT_TOL_REL) -> bool:
     dm = as_hermitian(d)
     if mm.n != dm.n:
         raise DimensionError(f"operand sizes differ: {mm.n} vs {dm.n}")
-    return is_psd(HermitianMatrix(mm.entries - float(c) * dm.entries), tau_rel)
+    diff = HermitianMatrix.derived("difference M - c D", lambda: mm.entries - float(c) * dm.entries)
+    return is_psd(diff, tau_rel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -397,4 +398,4 @@ def shift_construction(
     if floor <= tau_rel:
         raise NotPsdError(f"certified floor {floor!r} is not positive; no admissible shift")
     c = fraction * mu / kappa
-    return HermitianMatrix(am.entries - c * np.eye(am.n)), c
+    return HermitianMatrix.derived("difference A - c I", lambda: am.entries - c * np.eye(am.n)), c

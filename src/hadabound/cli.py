@@ -133,26 +133,6 @@ def parse_matrix(path: str) -> np.ndarray:
     return parse_matrix_text(text, source=path)
 
 
-def format_matrix(arr) -> str:
-    """Inverse of parse_matrix_text with full round-trip precision."""
-    mat = np.asarray(arr, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {mat.shape}")
-    kind = "complex" if np.any(mat.imag != 0.0) else "real"
-    lines = [f"n {mat.shape[0]} {mat.shape[1]} {kind}"]
-    for row in mat:
-        if kind == "real":
-            lines.append(" ".join(repr(float(z.real)) for z in row))
-        else:
-            lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix(arr, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(arr))
-
-
 def _is_number(value) -> bool:
     """A JSON number: int or float, and not bool, which Python counts as an int."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -254,7 +234,12 @@ _INPUT_KEYS = ("a", "b", "c", "p", "scenario", "m", "fraction", "tol", "budget",
 
 
 def _hermitian_from_file(path: str) -> HermitianMatrix:
-    return HermitianMatrix(parse_matrix(path))
+    """The carrier of a matrix file; a carrier error names the file, as parse errors do."""
+    arr = parse_matrix(path)
+    try:
+        return HermitianMatrix(arr)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _verdict(fields: dict, checks) -> tuple[int, dict]:

@@ -7,21 +7,23 @@ no threading), so identical inputs produce bit-identical spectra. Library
 decompositions are deliberately not used on this path; they serve as
 independent oracles in the test suite instead.
 
-One driver, _jacobi, runs the iteration on a stack of blocks of one order:
-a single matrix (a carrier's spectrum, eig_hermitian) is a stack of one,
-the subset scans pass whole stacks through stack_eigvals. Thresholds,
-norms and convergence are per block, and a sweep over the stack is the
-single-matrix sweep vectorized across it, so each block's spectrum is
-bit-identical to its solve alone. A scan that asks only which block is
-least, whether any block is dependent, or a sign, passes a question that
-lets a block leave unfinished once its Weyl bracket (its diagonal, its
-off-diagonal mass and a derived rounding margin) settles it; the blocks
-the answer rests on run to convergence. The single-matrix sweep rotates
-each pair of rows or columns in place; the stack sweep assigns fresh
-products. Both keep every complex coefficient the left operand of its
-product, because numpy's complex multiply may be fused and is then not
-symmetric in the last bit. A block whose squared norm would overflow or
-underflow is solved scaled by an exact power of two and scaled back.
+stack_eigvals is the one eigenvalue routine for arrays: orders 1 and 2 in
+closed form across the stack, larger orders through one driver, _jacobi,
+which runs the iteration on a stack of blocks of one order. A single
+matrix (a carrier's spectrum, eig_hermitian) is a stack of one, the
+subset scans pass whole stacks. Thresholds, norms and convergence are per
+block, and a sweep over the stack is the single-matrix sweep vectorized
+across it, so each block's spectrum is bit-identical to its solve alone.
+A scan that asks only which block is least, whether any block is
+dependent, or a sign, passes a question that lets a block leave
+unfinished once its Weyl bracket (its diagonal, its off-diagonal mass and
+a derived rounding margin) settles it; the blocks the answer rests on run
+to convergence. The single-matrix sweep rotates each pair of rows or
+columns in place; the stack sweep assigns fresh products. Both keep every
+complex coefficient the left operand of its product, because numpy's
+complex multiply may be fused and is then not symmetric in the last bit.
+A block whose squared norm would overflow or underflow is solved scaled
+by an exact power of two and scaled back.
 
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
@@ -93,6 +95,26 @@ class HermitianMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def derived(cls, what: str, compute) -> HermitianMatrix:
+        """Carrier of compute(), the entrywise product or difference `what` of carriers.
+
+        Its operands passed the symmetry test, each at its own scale. Their
+        asymmetries carry over and may exceed the tolerance at the result's
+        scale: A o B adds its factors' asymmetries, and A - cI has a smaller
+        largest entry than A. So that test is not run again. Finite operands
+        can still overflow; compute() runs with numpy's overflow warnings off
+        and its result is checked for finiteness, under a message naming what.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = compute()
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"{what} overflows: it has a NaN or infinite entry")
+        arr.setflags(write=False)
+        carrier = object.__new__(cls)
+        object.__setattr__(carrier, "entries", arr)
+        return carrier
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -100,7 +122,7 @@ class HermitianMatrix:
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in non-increasing order, read-only."""
-        vals = block_eigvals(self.entries)
+        vals = stack_eigvals(self.entries[None])[0]
         vals.setflags(write=False)
         return vals
 
@@ -127,7 +149,7 @@ def hadamard(a, b) -> HermitianMatrix:
     bm = as_hermitian(b)
     if am.n != bm.n:
         raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
-    return HermitianMatrix(am.entries * bm.entries)
+    return HermitianMatrix.derived("entrywise product A o B", lambda: am.entries * bm.entries)
 
 
 class PsdKind(enum.Enum):
@@ -245,26 +267,6 @@ def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
             w[q, q] = w[q, q].real
             if vt is not None:
                 _rotate(vt[pq], col_coef, prod)
-
-
-def block_eigvals(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian array, non-increasing, without validation.
-
-    For arrays already known to be Hermitian: a carrier's entries, its
-    principal blocks and Gram matrices of its columns. Orders 1 and 2 use
-    closed forms, larger orders the Jacobi iteration.
-    """
-    n = w.shape[0]
-    if n == 1:
-        return np.array([w[0, 0].real])
-    if n == 2:
-        a = w[0, 0].real
-        d = w[1, 1].real
-        mid = 0.5 * (a + d)
-        rad = math.hypot(0.5 * (a - d), abs(w[0, 1]))
-        return np.array([mid + rad, mid - rad])
-    diag = _jacobi(np.array(w, dtype=np.complex128)[None])[0]
-    return np.sort(diag)[::-1].copy()
 
 
 def _frobenius(w: np.ndarray) -> np.ndarray:
@@ -498,19 +500,31 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
 def stack_eigvals(blocks: np.ndarray, question=None) -> np.ndarray:
     """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
 
-    Row i is bit-identical to block_eigvals(blocks[i]): orders 1 and 2 use
-    its closed forms, larger orders the same Jacobi iteration. A question
-    (see _jacobi) may let blocks leave unfinished; their rows are NaN. It
-    sees every block, the closed forms as finished ones.
+    For arrays already known to be Hermitian: a carrier's entries (a stack
+    of one), its principal blocks and Gram matrices of its columns; nothing
+    is validated. Orders 1 and 2 use closed forms across the stack, larger
+    orders the Jacobi iteration, so row i does not depend on the stack it
+    came in. A question (see _jacobi) may let blocks leave unfinished;
+    their rows are NaN. It sees every block, the closed forms as finished
+    ones.
     """
     k, n = blocks.shape[0], blocks.shape[1]
-    if n <= 2:
-        vals = np.array([block_eigvals(b) for b in blocks]).reshape(k, n)
-        if question is not None:
-            question(vals, np.zeros(k))
-        return vals
-    diag = _jacobi(np.array(blocks, dtype=np.complex128), question=question)
-    return np.sort(diag, axis=1)[:, ::-1].copy()
+    if n > 2:
+        diag = _jacobi(np.array(blocks, dtype=np.complex128), question=question)
+        return np.sort(diag, axis=1)[:, ::-1].copy()
+    if n == 1:
+        vals = np.array(blocks[:, 0].real, dtype=np.float64)
+    else:
+        a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
+        off = blocks[:, 0, 1]
+        mid = 0.5 * (a + d)
+        # |w_01| is np.hypot of its parts; math.hypot rounds differently.
+        half, mod = (0.5 * (a - d)).tolist(), np.hypot(off.real, off.imag).tolist()
+        rad = np.fromiter(map(math.hypot, half, mod), float, k)
+        vals = np.array([mid + rad, mid - rad]).T.copy()
+    if question is not None:
+        question(vals, np.zeros(k))
+    return vals
 
 
 def eigvals_hermitian(a) -> np.ndarray:

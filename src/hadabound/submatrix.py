@@ -34,12 +34,14 @@ from .matcore import (
     eigvals_hermitian,
     rank_numeric,
     stack_eigvals,
-    tol_for,
 )
 
 DEFAULT_BUDGET = 2_000_000
 # Largest stack one scan solves at once; bounds the scan's memory.
 SCAN_CHUNK_MAX = 256
+# An input whose largest part lies outside this band is scaled into it
+# before any Gram of its columns is formed; see _gram_scaled.
+GRAM_BAND = (2.0**-500, 2.0**480)
 
 
 def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
@@ -169,6 +171,41 @@ def _nonempty_2d(mat) -> np.ndarray:
     return arr
 
 
+def _gram_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e arr, e): the input scaled so that the Grams of its columns stay exact enough.
+
+    e = 0, and arr is returned as it is, when its largest real or imaginary
+    part t lies in GRAM_BAND or is zero. For an input with r rows, eps the
+    machine epsilon and 2^-500 <= t <= 2^480:
+
+    - no Gram entry overflows. Each is a sum of 4r real products, each at
+      most t^2, so it and every partial sum a matmul kernel forms are below
+      4r 2^960 < 2^1024 for r < 2^62. The eigensolver scales a Gram whose
+      norm leaves its own band (matcore.NORM_BAND), so the solve needs no
+      more.
+    - underflow costs less than the Gram's own rounding. A product below
+      2^-1022 is off by at most 2^-1075, so each entry of a Gram of c
+      columns gains at most r 2^-1073, and its norm at most c r 2^-1073.
+      The rounding bound of a computed Gram's largest entries, about
+      r eps t^2 >= r 2^-1052, is larger for c < 2^21; no budget admits a
+      scan over that many columns.
+
+    Outside the band, at t = 1e155 a square t^2 overflows to inf, at 1e-155
+    it is subnormal with bits lost, and at 1e-170 the Gram vanishes. Such an
+    input is multiplied by 2^-e with 2^(e-1) <= t < 2^e, so its largest part
+    lies in [1/2, 1). A power of two scales exactly (a part falling below
+    2^-1022 rounds by at most 2^-1075, as a product would), so the scaled
+    Grams are 4^-e times the input's, with eigenvalues 4^-e lambda and
+    singular values 2^-e sigma.
+    """
+    parts = np.ascontiguousarray(arr).view(np.float64)
+    top = float(np.abs(parts).max())
+    if top == 0.0 or GRAM_BAND[0] <= top <= GRAM_BAND[1]:
+        return arr, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 @dataclasses.dataclass(frozen=True)
 class MinSubmatrixResult:
     """Minimum over all order-m principal submatrices of the smallest eigenvalue.
@@ -215,7 +252,9 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     q x q principal submatrix is positive definite, judged against that
     block's own largest eigenvalue. Other inputs, indefinite Hermitian ones
     included, use eigenvalues of column-subset Gram matrices, judged
-    against the largest eigenvalue of the full Gram matrix. The two paths
+    against the largest eigenvalue of the full Gram matrix; an input whose
+    Grams would overflow or underflow is first scaled by a power of two
+    (see _gram_scaled), and the threshold with it. The two paths
     decide on different scales: kruskal_rank(diag(1e3, 1e-2)) is 2 but
     kruskal_rank(diag(1e3, -1e-2)) is 0. A zero column yields 0.
 
@@ -245,8 +284,13 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         threshold = lambda top: tau_rel * np.maximum(1.0, top)
         rank = rank_numeric(herm, tau_rel)
     else:
+        arr, e = _gram_scaled(arr)
         gram_vals = eigvals_hermitian(arr.conj().T @ arr)
-        tau = tol_for(max(0.0, float(gram_vals[0])), tau_rel)
+        # tol_for(lambda_max, tau_rel) in units of 4^e; inf, so no level
+        # passes, for inputs far below the threshold's absolute floor.
+        with np.errstate(over="ignore"):
+            unit = float(np.ldexp(1.0, -2 * e))
+        tau = tau_rel * max(unit, float(gram_vals[0]))
         blocks = _gram_blocks(arr)
         threshold = lambda top: tau
         rank = int(np.sum(gram_vals > tau))
@@ -306,13 +350,14 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     """Minimum over all m-column subsets of the smallest singular value.
 
     Singular values come from eigenvalues of the m x m Gram matrix of the
-    selected columns; negative rounding noise is clamped at zero before the
-    square root.
+    selected columns, of the input scaled by 2^-e (see _gram_scaled);
+    negative rounding noise is clamped at zero before the square root, and
+    the result is scaled back by 2^e.
     """
-    arr = _nonempty_2d(v)
+    arr, e = _gram_scaled(_nonempty_2d(v))
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")
     scan = _block_spectra(n_cols, m, budget, _gram_blocks(arr), _Least(), whole=True)
     lam_min = min(vals[-1] for _, vals in scan)
-    return math.sqrt(max(0.0, float(lam_min)))
+    return math.ldexp(math.sqrt(max(0.0, float(lam_min))), e)

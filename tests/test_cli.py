@@ -7,19 +7,15 @@ JSON are asserted directly without spawning subprocesses.
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hadabound import cli
-from hadabound.cli import (
-    dispatch,
-    fixture_path,
-    format_matrix,
-    parse_matrix_text,
-    write_matrix,
-)
+from hadabound.cli import dispatch, fixture_path, parse_matrix_text
 from hadabound.errors import MatrixFormatError
+from matrix_files import format_matrix, write_matrix
 
 A = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 B = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -231,6 +227,30 @@ class TestBoundCommand:
         assert captured.err.startswith(f"error: {bad}: ")
 
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([[1.0, 2.0], [3.0, 1.0]], "matrix deviates from Hermitian symmetry by 1.000e+00"),
+            ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "expected a square matrix, got shape (2, 3)"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["bound", "--b", fixture_path("singular_pair_b.mtx")], "--a"),
+            (["kappa"], "--b"),
+            (["projection", "--p", fixture_path("rank2_projection_p.mtx")], "--c"),
+        ],
+    )
+    def test_carrier_errors_name_the_file(self, tmp_path, capsys, argv, flag, entries, message):
+        path = str(tmp_path / "x.mtx")
+        write_matrix(np.array(entries), path)
+        code = dispatch([*argv, flag, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {path}: {message}")
+
+
 class TestScalarCommands:
     def test_classical(self, capsys):
         code, doc = run(
@@ -296,6 +316,53 @@ class TestScalarCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "positive semidefinite" in captured.err
+
+    def test_classical_product_overflow_names_the_product(self, tmp_path, capsys):
+        """Finite, valid factors whose entrywise product overflows: no numpy warning."""
+        a, b = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(A * 1e200, a)
+        write_matrix(B * 1e200, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["classical", "--a", a, "--b", b])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: entrywise product A o B overflows: it has a NaN or infinite entry\n"
+        )
+
+
+class TestDerivedMatrices:
+    """Products and shifts of accepted inputs are not re-checked for symmetry at their own scale."""
+
+    # Within the symmetry tolerance; A o A doubles the deviation past it.
+    NEAR = np.array([[1.0, 1.0000000000009], [1.0, 1.0]])
+    # Within tolerance at scale 4; A - 4I has scale 2, and the deviation exceeds 2e-12.
+    SHIFTED = np.array([[4.0, 2.0, 2.000000000003], [2.0, 4.0, 2.0], [2.0, 2.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "command,flags,status",
+        [
+            ("kappa", ["--b"], "computed"),
+            ("bound", ["--a", "--b"], "verified"),
+            ("classical", ["--a", "--b"], "verified"),
+        ],
+    )
+    def test_product_of_near_hermitian_factors(self, tmp_path, capsys, command, flags, status):
+        path = str(tmp_path / "ab.mtx")
+        write_matrix(self.NEAR, path)
+        code, doc = run(capsys, command, *(arg for flag in flags for arg in (flag, path)))
+        assert (code, doc["results"]["status"]) == (0, status)
+
+    def test_shift_of_a_near_hermitian_matrix(self, tmp_path, capsys):
+        a, b = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(self.SHIFTED, a)
+        write_matrix(np.eye(3), b)
+        code, doc = run(capsys, "bound", "--a", a, "--b", b)
+        assert (code, doc["results"]["status"]) == (0, "verified")
+        code, doc = run(capsys, "certify-indefinite", "--a", a, "--b", b)
+        assert (code, doc["results"]["status"]) == (0, "verified")
+        assert doc["results"]["shift"] == pytest.approx(4.0, rel=1e-12)
 
 
 class TestCertificateCommands:

@@ -27,7 +27,6 @@ from hadabound.matcore import (
     PsdKind,
     SpectralDecomposition,
     as_hermitian,
-    block_eigvals,
     classify_psd,
     eig_hermitian,
     eigvals_hermitian,
@@ -330,6 +329,17 @@ class TestSchurComplement:
             assert float(np.linalg.eigvalsh(out.entries)[0]) > -1e-9
 
 
+def reference_closed_form(w):
+    """The scalar closed forms of orders 1 and 2 that the stack forms replaced, kept frozen."""
+    if w.shape[0] == 1:
+        return np.array([w[0, 0].real])
+    a = w[0, 0].real
+    d = w[1, 1].real
+    mid = 0.5 * (a + d)
+    rad = math.hypot(0.5 * (a - d), abs(w[0, 1]))
+    return np.array([mid + rad, mid - rad])
+
+
 class TestStackEigvals:
     """The stack kernel against the single-matrix solver, bit for bit."""
 
@@ -353,7 +363,7 @@ class TestStackEigvals:
         vals = stack_eigvals(stack)
         assert vals.shape == stack.shape[:2]
         for i, blk in enumerate(stack):
-            single = block_eigvals(blk)
+            single = stack_eigvals(blk[None])[0]
             assert np.array_equal(vals[i], single)
             assert vals[i].tobytes() == single.tobytes()  # signed zeros too
 
@@ -369,6 +379,18 @@ class TestStackEigvals:
         rng = np.random.default_rng(910 + m)
         kinds = [self.KINDS[i % len(self.KINDS)] for i in range(60)]
         self.assert_rows_match(np.array([self.block(rng, kind, m) for kind in kinds]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_forms_match_the_scalar_reference(self, m):
+        """Orders 1 and 2, at scales across the double range, against the frozen formulas."""
+        rng = np.random.default_rng(925 + m)
+        scales = 10.0 ** rng.uniform(-200, 200, size=(200, 1, 1))
+        kinds = [self.KINDS[i % len(self.KINDS)] for i in range(200)]
+        stack = np.array([self.block(rng, kind, m) for kind in kinds]) * scales
+        vals = stack_eigvals(stack)
+        for i, blk in enumerate(stack):
+            want = reference_closed_form(blk).tobytes()
+            assert vals[i].tobytes() == stack_eigvals(blk[None])[0].tobytes() == want
 
     def test_principal_blocks_of_one_matrix(self):
         rng = np.random.default_rng(920)
@@ -442,7 +464,7 @@ class TestStackEigvals:
         assert set(sweeps) == {("stack", 2), ("scalar", 1)}
         assert kinds == sorted(kinds, key=["stack", "scalar"].index)
         for i, blk in enumerate(stack):
-            assert vals[i].tobytes() == block_eigvals(blk).tobytes()
+            assert vals[i].tobytes() == stack_eigvals(blk[None])[0].tobytes()
 
     def test_sweep_cap_raises_the_same_error(self, monkeypatch):
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
@@ -450,7 +472,7 @@ class TestStackEigvals:
         a = random_hermitian(rng, 7)
         stack = np.array([a[np.ix_(s, s)] for s in itertools.combinations(range(7), 4)])
         with pytest.raises(ConvergenceError) as single:
-            block_eigvals(stack[0])
+            stack_eigvals(stack[:1])
         with pytest.raises(ConvergenceError) as stacked:
             stack_eigvals(stack)
         with pytest.raises(ConvergenceError) as scan:
@@ -471,7 +493,7 @@ class TestOutOfBandNorms:
         blocks = np.array([TestStackEigvals.block(rng, kind, m) for kind in self.KINDS])
         vals = stack_eigvals(blocks * scale)
         for blk, row in zip(blocks, vals):
-            assert row.tobytes() == block_eigvals(blk * scale).tobytes()
+            assert row.tobytes() == stack_eigvals((blk * scale)[None])[0].tobytes()
             ref = np.linalg.eigvalsh(blk * scale)[::-1]
             assert np.max(np.abs(row - ref)) <= 1e-12 * scale * np.linalg.norm(blk)
 
@@ -485,8 +507,8 @@ class TestOutOfBandNorms:
             scaled = blk * 2.0**shift
             norm = np.linalg.norm(blk) * 2.0**shift
             assert not matcore.NORM_BAND[0] <= norm <= matcore.NORM_BAND[1]
-            expected = block_eigvals(blk) * 2.0**shift
-            assert block_eigvals(scaled).tobytes() == expected.tobytes()
+            expected = stack_eigvals(blk[None])[0] * 2.0**shift
+            assert stack_eigvals(scaled[None])[0].tobytes() == expected.tobytes()
             dec, ref = eig_hermitian(scaled), eig_hermitian(blk)
             assert dec.eigenvalues.tobytes() == (ref.eigenvalues * 2.0**shift).tobytes()
             assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
@@ -566,7 +588,7 @@ class TestScalarSweepReference:
     @staticmethod
     def solves(a):
         dec = eig_hermitian(a)
-        return dec.eigenvalues, dec.eigenvectors, block_eigvals(a)
+        return dec.eigenvalues, dec.eigenvectors, stack_eigvals(a[None])[0]
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_spectra_match_the_reference(self, monkeypatch, n):

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hadabound.cli import dispatch, format_matrix, parse_matrix_text
+from hadabound.cli import dispatch, parse_matrix_text
+from matrix_files import format_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 

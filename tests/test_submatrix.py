@@ -7,6 +7,7 @@ independent code.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hadabound.errors import (
     NotPsdError,
     ZeroMatrixError,
 )
-from hadabound.matcore import block_eigvals, hadamard
+from hadabound.matcore import hadamard, stack_eigvals
 from hadabound.submatrix import (
     effective_condition_number,
     iter_subsets,
@@ -189,13 +190,13 @@ def upward_kruskal_rank(mat, tau_rel=matcore.DEFAULT_TOL_REL):
         psd = False
     if psd:
         def dependent(s):
-            vals = block_eigvals(arr[np.ix_(s, s)])
+            vals = stack_eigvals(arr[np.ix_(s, s)][None])[0]
             return vals[-1] <= matcore.tol_for(vals[0], tau_rel)
     else:
-        tau = matcore.tol_for(max(0.0, block_eigvals(arr.conj().T @ arr)[0]), tau_rel)
+        tau = matcore.tol_for(max(0.0, stack_eigvals((arr.conj().T @ arr)[None])[0][0]), tau_rel)
 
         def dependent(s):
-            return block_eigvals(arr[:, s].conj().T @ arr[:, s])[-1] <= tau
+            return stack_eigvals((arr[:, s].conj().T @ arr[:, s])[None])[0][-1] <= tau
     for q in range(1, n + 1):
         if any(dependent(s) for s in itertools.combinations(range(n), q)):
             return q - 1
@@ -274,6 +275,20 @@ class TestKruskalRank:
         for _ in range(25):
             mat = kruskal_input(rng, kind)
             assert kruskal_rank(mat) == upward_kruskal_rank(mat)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200, 1e300])
+    def test_gram_path_above_the_band(self, scale):
+        """Every 3 columns of a generic 3x5 matrix are independent, at any scale."""
+        f = np.random.default_rng(0).normal(size=(3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kruskal_rank(f * scale) == 3
+
+    def test_gram_path_keeps_the_absolute_floor_below_the_band(self):
+        """A Gram far below tau_rel * 1 is dependent at every level, scaled or not."""
+        f = np.random.default_rng(0).normal(size=(3, 5))
+        for scale in (1e-5, 1e-170, 1e-300):
+            assert kruskal_rank(f * scale) == 0
 
 
 def test_blocks_of_an_accepted_matrix_are_not_revalidated():
@@ -365,6 +380,29 @@ class TestMinSubsetSingularValue:
             # root of machine epsilon are noise-level zeros.
             assert mine == pytest.approx(oracle, abs=1e-7)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-155, 1e160, 1e-160, 1e-170, 1e200, 1e-200])
+    def test_out_of_band_inputs_match_numpy_svd(self, scale):
+        """The Gram would overflow or underflow; the input is scaled by a power of two first."""
+        f = np.random.default_rng(0).normal(size=(3, 5)) * scale
+        oracle = min(
+            np.linalg.svd(f[:, s], compute_uv=False)[-1]
+            for s in itertools.combinations(range(5), 3)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = min_subset_singular_value(f, 3)
+        assert mine == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("shift", [-700, -520, 490, 700])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        """Largest part in [1/2, 1), times 2^k outside the band: the value times 2^k."""
+        rng = np.random.default_rng(26)
+        v = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        v /= 2.0 ** math.frexp(np.abs(v.view(np.float64)).max())[1]
+        assert min_subset_singular_value(v * 2.0**shift, 3) == (
+            min_subset_singular_value(v, 3) * 2.0**shift
+        )
+
     def test_zero_when_subsets_overdetermine_rows(self):
         # Two columns in a one-row space are always dependent.
         v = np.array([[1.0, 2.0]])
@@ -420,7 +458,7 @@ class TestScanChunks:
         f = rng.normal(size=(11, 6)) + 1j * rng.normal(size=(11, 6))
         a = f @ f.conj().T
         value, subset = min(
-            (block_eigvals(a[np.ix_(s, s)])[-1], s)
+            (stack_eigvals(a[np.ix_(s, s)][None])[0][-1], s)
             for s in itertools.combinations(range(11), 6)
         )
         res = min_submatrix_eigenvalue(a, 6)
@@ -473,10 +511,10 @@ class TestScanChunks:
 
 
 def per_subset_mu(a, m):
-    """(least block lambda_min, its first subset), one block_eigvals per subset."""
+    """(least block lambda_min, its first subset), one solve per subset."""
     best = None
     for s in itertools.combinations(range(a.shape[0]), m):
-        value = block_eigvals(a[np.ix_(s, s)])[-1]
+        value = stack_eigvals(a[np.ix_(s, s)][None])[0][-1]
         if best is None or value < best[0]:
             best = (value, s)
     return float(best[0]), best[1]
@@ -485,7 +523,7 @@ def per_subset_mu(a, m):
 def per_subset_sv(v, m):
     """Least smallest singular value over m-column subsets, one Gram block at a time."""
     lam = min(
-        block_eigvals(v[:, s].conj().T @ v[:, s])[-1]
+        stack_eigvals((v[:, s].conj().T @ v[:, s])[None])[0][-1]
         for s in itertools.combinations(range(v.shape[1]), m)
     )
     return math.sqrt(max(0.0, float(lam)))
@@ -548,7 +586,7 @@ class TestEarlyLeave:
         a = f @ f.conj().T
         a /= 2.0 * np.linalg.eigvalsh(a)[-1]  # every lambda_max below 1: threshold = tau_rel
         on = min(
-            block_eigvals(a[np.ix_(s, s)])[-1] for s in itertools.combinations(range(8), 4)
+            stack_eigvals(a[np.ix_(s, s)][None])[0][-1] for s in itertools.combinations(range(8), 4)
         )
         assert on > 0.0
         below = np.nextafter(on, 0.0)
