@@ -308,7 +308,10 @@ def projection_certificate(
         raise NotProjectionError("projection rank must be at least 1")
     mu = min_submatrix_eigenvalue(cm, cm.n - rank + 1, budget).value
     threshold = -tol_for(float(np.max(np.abs(cm.entries))), tau_rel)
-    product = hadamard(cm, HermitianMatrix(arr))
+    # P passed the projection check's symmetry test; a carrier of P would
+    # test it again at the stricter carrier tolerance, so C o P is formed
+    # as hadamard forms it, from the entries.
+    product = HermitianMatrix.derived("entrywise product C o P", lambda: cm.entries * arr)
     lam = float(eigvals_hermitian(product)[-1])
     return ProjectionCertificate(
         hypothesis_holds=bool(mu >= threshold),

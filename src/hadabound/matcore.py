@@ -25,6 +25,15 @@ complex multiply may be fused and is then not symmetric in the last bit.
 A block whose squared norm would overflow or underflow is solved scaled
 by an exact power of two and scaled back.
 
+Results that depend on a matrix's content alone are solved once per
+content: a carrier's spectrum here, and the subset minimum mu of
+submatrix.min_submatrix_eigenvalue. One memo, keyed on the exact
+complex128 bytes of the matrix and the order asked for, serves both
+across calls and carriers. The solver reads nothing but those bytes, so a
+hit returns the bits a fresh solve would. The keys it holds stay within
+MEMO_KEY_BYTES in total, the least recently used leaving first. Solves
+that carry a question, eig_hermitian and raised errors are not stored.
+
 Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
 max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
 symmetry checks to 1e-12.
@@ -37,6 +46,7 @@ import enum
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -56,6 +66,8 @@ EIG_TOL_REL = 1e-10
 JACOBI_OFF_REL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 TRACE_ROUND_GUARD = 1e-6
+# Total bytes of the keys the content memo holds: about 40 matrices of order 40.
+MEMO_KEY_BYTES = 1 << 20
 
 
 def tol_for(scale: float, tau_rel: float = DEFAULT_TOL_REL) -> float:
@@ -72,7 +84,8 @@ class HermitianMatrix:
     within 1e-12 * max(1, max|entry|); inputs further from symmetry than
     that are rejected rather than silently symmetrized. The spectrum is
     solved on first use and kept, so every rank, definiteness and
-    conditioning question about one carrier reads the same eigenvalues.
+    conditioning question about one carrier reads the same eigenvalues;
+    carriers of equal entries share one solve (see solved_once).
     """
 
     entries: np.ndarray
@@ -99,7 +112,8 @@ class HermitianMatrix:
     def derived(cls, what: str, compute) -> HermitianMatrix:
         """Carrier of compute(), the entrywise product or difference `what` of carriers.
 
-        Its operands passed the symmetry test, each at its own scale. Their
+        Its operands passed the symmetry test, each at its own scale (or, for
+        a projection factor, is_orthogonal_projection's test). Their
         asymmetries carry over and may exceed the tolerance at the result's
         scale: A o B adds its factors' asymmetries, and A - cI has a smaller
         largest entry than A. So that test is not run again. Finite operands
@@ -121,10 +135,21 @@ class HermitianMatrix:
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in non-increasing order, read-only."""
-        vals = stack_eigvals(self.entries[None])[0]
-        vals.setflags(write=False)
-        return vals
+        """Eigenvalues in non-increasing order, read-only.
+
+        Solved once per content: a carrier of the same entries, built
+        before or elsewhere, reads the stored bits while the content memo
+        holds them, and this carrier keeps them for good.
+        """
+
+        def solve():
+            stack = stack_eigvals(self.entries[None])
+            # A row of a read-only stack can never be made writable, so no
+            # caller can change the bits the memo hands to the next one.
+            stack.setflags(write=False)
+            return stack[0]
+
+        return solved_once("spectrum", self.n, self.entries, solve)
 
     def diagonal(self) -> np.ndarray:
         """Real parts of the diagonal (imaginary parts are within tolerance of zero)."""
@@ -196,6 +221,66 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+
+
+class _ContentMemo:
+    """Bounded least-recently-used store of results keyed by matrix content.
+
+    A key is (kind, order, bytes); size counts the bytes of every key held,
+    and the least recently used entries are evicted until it is at most
+    cap. A key larger than cap is not kept at all.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.size = 0
+        self.entries: dict = {}  # least recently used first
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            value = self.entries.pop(key, None)
+            if value is not None:
+                self.entries[key] = value
+            return value
+
+    def put(self, key, value) -> None:
+        with self.lock:
+            # Held already (solved meanwhile by another thread, to the same
+            # bits), or too large to keep without evicting everything else.
+            if key in self.entries or len(key[2]) > self.cap:
+                return
+            self.entries[key] = value
+            self.size += len(key[2])
+            while self.size > self.cap:
+                old = next(iter(self.entries))
+                del self.entries[old]
+                self.size -= len(old[2])
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.size = 0
+
+
+_MEMO = _ContentMemo(MEMO_KEY_BYTES)
+
+
+def solved_once(kind: str, order: int, entries: np.ndarray, solve):
+    """solve(), or the value it returned before for the same kind, order and entries.
+
+    For a pure function of a matrix's content: its complex128 C-order bytes
+    and the order asked for (its size, or a subset size) are the key, so
+    +0.0 and -0.0, or entries one ulp apart, are different contents. The
+    value must be immutable, as every caller gets the same object. An
+    exception from solve() is raised and nothing is stored.
+    """
+    key = (kind, order, np.asarray(entries, dtype=np.complex128).tobytes())
+    value = _MEMO.get(key)
+    if value is None:
+        value = solve()
+        _MEMO.put(key, value)
+    return value
 
 
 def _rotate(pair: np.ndarray, coef: np.ndarray, prod: np.ndarray) -> None:
@@ -530,7 +615,10 @@ def stack_eigvals(blocks: np.ndarray, question=None) -> np.ndarray:
 def eigvals_hermitian(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, non-increasing, read-only.
 
-    A HermitianMatrix is solved once; later calls return the same array.
+    Solved once per content: a later call on a HermitianMatrix returns the
+    same array, and one on equal entries, as a carrier or an array, the
+    same bits without a solve while the content memo holds them (its keys
+    stay within MEMO_KEY_BYTES in total).
     """
     return as_hermitian(a).eigenvalues
 

@@ -33,6 +33,7 @@ from .matcore import (
     classify_psd,
     eigvals_hermitian,
     rank_numeric,
+    solved_once,
     stack_eigvals,
 )
 
@@ -44,16 +45,20 @@ SCAN_CHUNK_MAX = 256
 GRAM_BAND = (2.0**-500, 2.0**480)
 
 
-def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
-    """All size-m subsets of range(n), lexicographic, guarded by the budget."""
-    if not 0 <= m <= n:
-        raise ValueError(f"subset size {m} is out of range for ground set {n}")
+def _check_budget(n: int, m: int, budget: int) -> None:
     count = math.comb(n, m)
     if count > budget:
         raise BudgetExceededError(
             f"enumerating C({n},{m}) = {count} subsets exceeds the budget of {budget}; "
             "raise the budget or reduce the problem size"
         )
+
+
+def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
+    """All size-m subsets of range(n), lexicographic, guarded by the budget."""
+    if not 0 <= m <= n:
+        raise ValueError(f"subset size {m} is out of range for ground set {n}")
+    _check_budget(n, m, budget)
     return itertools.combinations(range(n), m)
 
 
@@ -223,7 +228,10 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
 
     Order 1 reduces to the minimum diagonal entry and order n to the
     smallest eigenvalue of the full matrix; both bypass enumeration, so the
-    budget cannot trip on them.
+    budget cannot trip on them. Other orders are scanned once per content
+    (see matcore.solved_once): a later call on equal entries and the same m
+    returns the stored result without a scan, but the budget is checked
+    first all the same, so a call over it raises as a scan would.
     """
     am = as_hermitian(a)
     n = am.n
@@ -236,12 +244,17 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
     if m == n:
         value = float(eigvals_hermitian(am)[-1])
         return MinSubmatrixResult(value, tuple(range(n)), n)
-    # min keeps the first of equal keys: the lexicographically first argmin.
-    subset, vals = min(
-        _block_spectra(n, m, budget, _principal_blocks(am.entries), _Least(), whole=True),
-        key=lambda item: item[1][-1],
-    )
-    return MinSubmatrixResult(float(vals[-1]), subset, m)
+    _check_budget(n, m, budget)
+
+    def scan() -> MinSubmatrixResult:
+        # min keeps the first of equal keys: the lexicographically first argmin.
+        subset, vals = min(
+            _block_spectra(n, m, budget, _principal_blocks(am.entries), _Least(), whole=True),
+            key=lambda item: item[1][-1],
+        )
+        return MinSubmatrixResult(float(vals[-1]), subset, m)
+
+    return solved_once("mu", m, am.entries, scan)
 
 
 def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET) -> int:

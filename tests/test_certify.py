@@ -5,7 +5,9 @@ report fields below are exact algebraic values, not regression snapshots.
 Oracle checks in the property loops use numpy's eigensolver.
 """
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from hadabound.errors import (
     ZeroMatrixError,
 )
 from hadabound import matcore
-from hadabound.generators import random_psd_with_kruskal
+from hadabound.apps import doa_bound
+from hadabound.generators import random_doa_scenario, random_psd_with_kruskal
 from hadabound.matcore import PsdKind, classify_psd, hadamard
 from hadabound.submatrix import min_submatrix_eigenvalue
 
@@ -310,6 +313,17 @@ class TestProjectionCertificate:
             assert cert.consistent
 
 
+    def test_projection_within_its_tolerance_is_accepted(self):
+        """Asymmetry the projection check accepts is not judged again as a carrier's."""
+        p = np.array(P)
+        p[0, 1] += 1e-10
+        cert = projection_certificate(C, p)
+        exact = projection_certificate(C, P)
+        assert (cert.hypothesis_holds, cert.conclusion_holds) == (True, True)
+        assert (cert.mu, cert.projection_rank) == (exact.mu, exact.projection_rank)
+        assert cert.lambda_min_product == pytest.approx(exact.lambda_min_product, abs=1e-9)
+
+
 class TestIndefiniteCertificate:
     def test_full_shift_certifies_exactly(self):
         c, shift = shift_construction(A, B, 1.0)
@@ -376,6 +390,7 @@ class TestSolveCounts:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        matcore._MEMO.clear()  # an earlier test may hold these inputs' results
         real = matcore._jacobi
         arrays = []
 
@@ -414,8 +429,75 @@ class TestSolveCounts:
         call(a, b)
         assert sum(arr.shape[0] == self.N for arr in solves) == expected
 
+    def test_classical_after_quantitative_solves_nothing(self, solves):
+        a, b = self.pair()
+        quantitative_bound(a, b)
+        solves.clear()
+        classical_bound(a, b)  # new carriers of the same arrays
+        assert sum(arr.shape[0] == self.N for arr in solves) == 0
+
+    def test_projection_after_quantitative_scans_nothing(self, solves):
+        a, b = self.pair()
+        m = self.N - 3 + 1  # rank B = rank P = 3
+        quantitative_bound(a, b)
+        assert any(arr.shape[0] == m for arr in solves)
+        solves.clear()
+        projection_certificate(a, random_projection(np.random.default_rng(63), self.N, 3))
+        assert sum(arr.shape[0] == m for arr in solves) == 0
+
     def test_generated_factor_is_solved_once(self, solves):
         _, b = self.pair()
         a = random_psd_with_kruskal(np.random.default_rng(62), self.N, 4, 4)
         shift_construction(a, b, 1.0)
         assert sum(np.array_equal(arr, a.entries) for arr in solves) == 1
+
+
+def report_bits(report) -> dict:
+    """A report's fields, each float as its IEEE bits: equal dicts are bit-identical."""
+    fields = dataclasses.asdict(report) if dataclasses.is_dataclass(report) else {"value": report}
+    return {
+        key: struct.pack("<d", value).hex() if isinstance(value, float) else value
+        for key, value in fields.items()
+    }
+
+
+class TestContentMemo:
+    """Reports read through the content memo carry the bits of fresh solves."""
+
+    @staticmethod
+    def ops() -> dict:
+        """The dense and scan benchmark ops on seeded inputs, as fresh objects."""
+        rng = np.random.default_rng(1401)
+        ops = {}
+        for n in (6, 8):  # full-rank B: the floor order is 1
+            a = random_psd(rng, n, n // 2)
+            b = random_psd(rng, n, 2 * n)
+            c = a - 0.5 * float(np.min(np.diag(a).real)) / np.linalg.cond(b) * np.eye(n)
+            ops[f"quantitative_bound/dense{n}"] = lambda a=a, b=b: quantitative_bound(a, b)
+            ops[f"classical_bound/{n}"] = lambda a=a, b=b: classical_bound(a, b)
+            ops[f"indefinite_certificate/{n}"] = lambda c=c, b=b: indefinite_certificate(c, b)
+        for n in (7, 8):  # rank B = rank P = n // 2: subset scans of order n - n // 2 + 1
+            a = random_psd(rng, n, n // 2 + 1)
+            b = random_psd(rng, n, n // 2)
+            p = random_projection(rng, n, n // 2)
+            scenario = random_doa_scenario(rng)
+            ops[f"quantitative_bound/scan{n}"] = lambda a=a, b=b: quantitative_bound(a, b)
+            ops[f"nonsingularity_predicate/{n}"] = lambda a=a, b=b: nonsingularity_predicate(a, b)
+            ops[f"projection_certificate/{n}"] = lambda a=a, p=p: projection_certificate(a, p)
+            ops[f"doa_bound/{n}"] = lambda s=scenario: doa_bound(s)
+        return ops
+
+    def run(self, order) -> dict:
+        ops = self.ops()
+        return {name: report_bits(ops[name]()) for name in order}
+
+    def test_reports_match_fresh_solves_in_any_call_order(self, monkeypatch):
+        cycle = list(self.ops())
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "_MEMO", matcore._ContentMemo(0))  # stores nothing
+            fresh = self.run(cycle)
+        shuffled = [cycle[i] for i in np.random.default_rng(1402).permutation(len(cycle))]
+        for order, clear in ((cycle, True), (cycle, False), (cycle[::-1], True), (shuffled, True)):
+            if clear:
+                matcore._MEMO.clear()
+            assert self.run(order) == fresh

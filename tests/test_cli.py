@@ -382,6 +382,19 @@ class TestCertificateCommands:
             (16 - math.sqrt(65)) / 3, abs=1e-9
         )
 
+    def test_projection_within_its_tolerance_is_accepted(self, capsys, tmp_path):
+        p = parse_matrix_text(open(fixture_path("rank2_projection_p.mtx")).read())
+        p[0, 1] += 1e-10  # within the projection check's tolerance of 1e-9
+        write_matrix(p, tmp_path / "p.mtx")
+        code, doc = run(
+            capsys,
+            "projection",
+            "--c", fixture_path("indefinite_c.mtx"),
+            "--p", str(tmp_path / "p.mtx"),
+        )
+        assert (code, doc["results"]["status"]) == (0, "verified")
+        assert doc["results"]["mu"] == 1.0
+
     def test_certify_indefinite_from_shift(self, capsys):
         code, doc = run(
             capsys,

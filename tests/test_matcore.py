@@ -467,6 +467,7 @@ class TestStackEigvals:
             assert vals[i].tobytes() == stack_eigvals(blk[None])[0].tobytes()
 
     def test_sweep_cap_raises_the_same_error(self, monkeypatch):
+        matcore._MEMO.clear()  # the scan below must solve, not read a stored mu
         monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
         rng = np.random.default_rng(940)
         a = random_hermitian(rng, 7)
@@ -479,6 +480,73 @@ class TestStackEigvals:
             min_submatrix_eigenvalue(a, 4)
         assert str(single.value) == str(stacked.value) == str(scan.value)
         assert "1 sweeps" in str(scan.value)
+
+
+class TestContentMemo:
+    """Spectra are solved once per content, and read back bit for bit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        matcore._MEMO.clear()
+        real = matcore._jacobi
+        count = [0]
+
+        def counting(w, v=None, question=None):
+            count[0] += 1
+            return real(w, v, question)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        return count
+
+    def test_equal_content_is_solved_once(self, solves):
+        a = random_hermitian(np.random.default_rng(1410), 5)
+        first = eigvals_hermitian(a)
+        again = eigvals_hermitian(HermitianMatrix(np.asfortranarray(a)))
+        assert solves[0] == 1
+        assert again.tobytes() == first.tobytes() == stack_eigvals(a[None])[0].tobytes()
+        with pytest.raises(ValueError):
+            again.setflags(write=True)  # a caller cannot write the stored bits
+
+    def test_one_ulp_or_a_signed_zero_is_another_content(self, solves):
+        a = random_hermitian(np.random.default_rng(1411), 5)
+        a[0, 1] = a[1, 0] = 0.0
+        eigvals_hermitian(a)
+        nudged = a.copy()
+        nudged[2, 2] = np.nextafter(nudged[2, 2].real, np.inf)
+        signed = a.copy()
+        signed[0, 1] = signed[1, 0] = -0.0
+        for b in (nudged, signed):
+            before = solves[0]
+            vals = eigvals_hermitian(b)
+            assert solves[0] == before + 1
+            assert vals.tobytes() == stack_eigvals(b[None])[0].tobytes()
+
+    def test_byte_cap_evicts_the_least_recently_used(self, monkeypatch):
+        rng = np.random.default_rng(1412)
+        mats = [random_hermitian(rng, 4) for _ in range(5)]  # 256-byte keys
+        memo = matcore._ContentMemo(3 * 256)
+        monkeypatch.setattr(matcore, "_MEMO", memo)
+        solved = []
+
+        def ask(i):
+            return matcore.solved_once("test", 4, mats[i], lambda: solved.append(i) or i)
+
+        for i in (0, 1, 2, 3):  # the fourth key evicts the oldest, 0
+            ask(i)
+        assert [ask(i) for i in (1, 2, 3)] == [1, 2, 3] and solved == [0, 1, 2, 3]
+        ask(1)  # now 2 is the least recently used
+        ask(4)
+        ask(0)
+        assert solved == [0, 1, 2, 3, 4, 0]
+        assert sorted(key[2] for key in memo.entries) == sorted(
+            mats[i].tobytes() for i in (1, 4, 0)
+        )
+        assert memo.size == 3 * 256
+        tiny = matcore._ContentMemo(255)  # a key above the cap is not kept
+        monkeypatch.setattr(matcore, "_MEMO", tiny)
+        ask(0)
+        ask(0)
+        assert solved[-2:] == [0, 0] and tiny.size == 0 and not tiny.entries
 
 
 class TestOutOfBandNorms:

@@ -483,6 +483,7 @@ class TestScanChunks:
 
     @pytest.mark.parametrize("scan", ["mu", "subset_sv"])
     def test_exhaustive_scan_solves_whole_chunks(self, monkeypatch, scan):
+        matcore._MEMO.clear()  # an earlier test may hold this input's mu
         solves = []
 
         def counting(stack, question=None):
@@ -497,6 +498,21 @@ class TestScanChunks:
         else:
             min_subset_singular_value(f, 7)
         assert solves == [256, 74]  # C(11, 7) = 330
+
+    def test_memo_hit_draws_no_subset_but_keeps_the_budget(self, drawn):
+        rng = np.random.default_rng(863)
+        a = random_hermitian(rng, 7)
+        matcore._MEMO.clear()
+        with pytest.raises(BudgetExceededError) as fresh:
+            min_submatrix_eigenvalue(a, 4, budget=34)  # C(7, 4) = 35
+        first = min_submatrix_eigenvalue(a, 4)
+        assert drawn == [[(7, 4), 35]]
+        with pytest.raises(BudgetExceededError) as held:
+            min_submatrix_eigenvalue(a, 4, budget=34)
+        assert str(held.value) == str(fresh.value)
+        again = min_submatrix_eigenvalue(np.array(a), 4, budget=35)
+        assert again == first and repr(again.value) == repr(first.value)
+        assert drawn == [[(7, 4), 35]]
 
     def test_blocks_before_a_failing_one_are_yielded(self, monkeypatch):
         """Non-convergence surfaces at its subset, as in a per-subset scan."""
