@@ -712,11 +712,15 @@ def is_orthogonal_projection(p, tol: float = DEFAULT_TOL_REL) -> tuple[bool, int
     Returns (True, rank) when both the symmetry defect and the idempotency
     defect are within tol in max norm. The rank is the rounded trace; a
     trace further than 1e-6 from an integer raises, since that indicates a
-    matrix that only superficially resembles a projection.
+    matrix that only superficially resembles a projection. A NaN or
+    infinite entry raises as it does for a carrier, since no defect
+    comparison can reject it.
     """
     arr = np.asarray(p, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
     idem_dev = float(np.max(np.abs(arr @ arr - arr)))
     if herm_dev > tol or idem_dev > tol:

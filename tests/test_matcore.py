@@ -279,6 +279,14 @@ class TestIsOrthogonalProjection:
         ok, rank = is_orthogonal_projection(m)
         assert not ok and rank is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # A NaN defect compares False with the tolerance, so it must not get that far.
+        p = np.array(P)
+        p[0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            is_orthogonal_projection(p)
+
     def test_trace_guard(self):
         # A loose tolerance lets a non-integer trace through to the guard.
         with pytest.raises(NotProjectionError):
