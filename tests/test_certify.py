@@ -312,7 +312,6 @@ class TestProjectionCertificate:
             assert cert.conclusion_holds
             assert cert.consistent
 
-
     def test_projection_within_its_tolerance_is_accepted(self):
         """Asymmetry the projection check accepts is not judged again as a carrier's."""
         p = np.array(P)
