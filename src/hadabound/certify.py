@@ -220,7 +220,10 @@ def decompose_projection(proj, tol: float = DEFAULT_TOL_REL) -> ProjectionParts:
     n = arr.shape[0]
     if n < 2:
         raise DimensionError("bordered split needs size at least 2")
-    p1_block = arr[:-1, :-1]
+    # Every block below passes is_orthogonal_projection's symmetry test; a
+    # carrier would test it again at the stricter carrier tolerance, so the
+    # blocks are carried as derived, as projection_certificate carries C o P.
+    p1_block = arr[:-1, :-1].copy()
     x = arr[:-1, -1].copy()
     p = float(arr[-1, -1].real)
     if p < -tol or p > 1.0 + tol:
@@ -238,7 +241,7 @@ def decompose_projection(proj, tol: float = DEFAULT_TOL_REL) -> ProjectionParts:
         if not ok1 or rank1 != rank - round(p):
             raise NotProjectionError("leading block is not a projection of the expected rank")
         return ProjectionParts(
-            p1=HermitianMatrix(p1_block),
+            p1=HermitianMatrix.derived("leading block", lambda: p1_block),
             x=x,
             p=p,
             q=None,
@@ -259,11 +262,11 @@ def decompose_projection(proj, tol: float = DEFAULT_TOL_REL) -> ProjectionParts:
     if not ok_r or rank_r != rank:
         raise NotProjectionError("restored block r is not a projection of the original rank")
     return ProjectionParts(
-        p1=HermitianMatrix(p1_block),
+        p1=HermitianMatrix.derived("leading block", lambda: p1_block),
         x=x,
         p=p,
-        q=HermitianMatrix(q_arr),
-        r=HermitianMatrix(r_arr),
+        q=HermitianMatrix.derived("reduced block q", lambda: q_arr),
+        r=HermitianMatrix.derived("restored block r", lambda: r_arr),
         rank=rank,
     )
 

@@ -13,6 +13,9 @@ given, so identical inputs and seed produce byte-identical reports.
 Exit codes: 0 when the requested quantity was computed and its internal
 verification passed, 1 when a hypothesis or verification failed (the
 report's results.reason says which), 2 for input or usage errors.
+
+Each handler imports the modules its command runs, so a process pays
+the import of certify, apps or selftest only for a command that uses it.
 """
 
 from __future__ import annotations
@@ -24,19 +27,9 @@ import json
 import re
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
-from .apps import CpScenario, DoaScenario, cp_bound, doa_bound
-from .certify import (
-    BoundReport,
-    classical_bound,
-    indefinite_certificate,
-    projection_certificate,
-    quantitative_bound,
-    shift_construction,
-)
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -45,7 +38,6 @@ from .errors import (
     ScenarioFormatError,
 )
 from .matcore import HermitianMatrix, eigvals_hermitian, hadamard, tol_for
-from .selftest import run_all
 from .submatrix import (
     DEFAULT_BUDGET,
     effective_condition_number,
@@ -190,6 +182,8 @@ def _scenario(path: str, fields: tuple[str, ...]):
 
 
 def load_doa_scenario(path: str) -> DoaScenario:
+    from .apps import DoaScenario
+
     with _scenario(path, ("N", "K", "P", "omega", "sigma_s")) as doc:
         sigma = HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s"))
         return DoaScenario(
@@ -202,6 +196,8 @@ def load_doa_scenario(path: str) -> DoaScenario:
 
 
 def load_cp_scenario(path: str) -> CpScenario:
+    from .apps import CpScenario
+
     with _scenario(path, ("d", "A_load", "B_load", "g")) as doc:
         a = _complex_array(doc["A_load"], "A_load")
         b = _complex_array(doc["B_load"], "B_load")
@@ -216,6 +212,8 @@ def load_cp_scenario(path: str) -> CpScenario:
 
 def fixture_path(name: str) -> str:
     """Absolute path of a packaged example input."""
+    from importlib import resources
+
     return str(resources.files("hadabound").joinpath("fixtures", name))
 
 
@@ -257,6 +255,8 @@ def _verdict(fields: dict, checks) -> tuple[int, dict]:
 
 
 def _cmd_bound(args) -> tuple[dict, list]:
+    from .certify import BoundReport, quantitative_bound
+
     a = _hermitian_from_file(args.a)
     b = _hermitian_from_file(args.b)
     if a.n != b.n:
@@ -274,6 +274,8 @@ def _cmd_bound(args) -> tuple[dict, list]:
 
 
 def _cmd_classical(args) -> tuple[dict, list]:
+    from .certify import classical_bound
+
     a = _hermitian_from_file(args.a)
     b = _hermitian_from_file(args.b)
     value = classical_bound(a, b, args.tol)
@@ -315,6 +317,8 @@ def _certificate_checks(cert) -> list[tuple[bool, str]]:
 
 
 def _cmd_projection(args) -> tuple[dict, list]:
+    from .certify import projection_certificate
+
     c = _hermitian_from_file(args.c)
     p = parse_matrix(args.p)
     cert = projection_certificate(c, p, args.tol, args.budget)
@@ -322,6 +326,8 @@ def _cmd_projection(args) -> tuple[dict, list]:
 
 
 def _cmd_certify_indefinite(args) -> tuple[dict, list]:
+    from .certify import indefinite_certificate, shift_construction
+
     if args.c is not None and (args.a is not None or args.fraction is not None):
         raise ValueError("--c cannot be combined with --a or --fraction")
     if args.c is None and args.a is None:
@@ -341,6 +347,8 @@ def _cmd_certify_indefinite(args) -> tuple[dict, list]:
 
 
 def _cmd_doa_bound(args) -> tuple[dict, list]:
+    from .apps import doa_bound
+
     scenario = load_doa_scenario(args.scenario)
     report = doa_bound(scenario, args.tol, args.budget)
     return (
@@ -350,6 +358,8 @@ def _cmd_doa_bound(args) -> tuple[dict, list]:
 
 
 def _cmd_cp_bound(args) -> tuple[dict, list]:
+    from .apps import cp_bound
+
     scenario = load_cp_scenario(args.scenario)
     report = cp_bound(scenario, args.tol, args.budget)
     return dataclasses.asdict(report), [
@@ -359,6 +369,8 @@ def _cmd_cp_bound(args) -> tuple[dict, list]:
 
 
 def _cmd_selftest(args) -> tuple[dict, list]:
+    from .selftest import run_all
+
     results = run_all(seed=args.seed, scale=args.scale)
     all_passed = all(r.passed for r in results)
     return {

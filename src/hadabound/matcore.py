@@ -113,12 +113,14 @@ class HermitianMatrix:
         """Carrier of compute(), the entrywise product or difference `what` of carriers.
 
         Its operands passed the symmetry test, each at its own scale (or, for
-        a projection factor, is_orthogonal_projection's test). Their
-        asymmetries carry over and may exceed the tolerance at the result's
-        scale: A o B adds its factors' asymmetries, and A - cI has a smaller
-        largest entry than A. So that test is not run again. Finite operands
-        can still overflow; compute() runs with numpy's overflow warnings off
-        and its result is checked for finiteness, under a message naming what.
+        a projection factor or a block of a split projection,
+        is_orthogonal_projection's test). Their asymmetries carry over and may
+        exceed the tolerance at the result's scale: A o B adds its factors'
+        asymmetries, A - cI has a smaller largest entry than A, and the
+        projection test allows an asymmetry up to its own tol. So that test
+        is not run again. Finite operands can still overflow; compute() runs
+        with numpy's overflow warnings off and its result is checked for
+        finiteness, under a message naming what.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             arr = compute()

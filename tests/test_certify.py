@@ -249,6 +249,22 @@ class TestDecomposeProjection:
         with pytest.raises(DimensionError):
             decompose_projection(np.eye(1))
 
+    def test_asymmetry_the_projection_check_accepts_is_split(self):
+        # is_orthogonal_projection allows 1e-9; each block keeps the 1e-10
+        # asymmetry, which the carrier's own 1e-12 test would reject.
+        proj = P.astype(np.complex128)
+        proj[0, 1] += 1e-10
+        parts = decompose_projection(proj)
+        assert parts.rank == 2
+        assert parts.p1.entries.tobytes() == proj[:-1, :-1].tobytes()
+        assert parts.q.entries[0, 1] != parts.q.entries[1, 0].conjugate()
+        proj[0, 0] = 9.0
+        assert parts.p1.entries[0, 0] == P[0, 0]
+        corner = np.zeros((3, 3))
+        corner[:2, :2] = [[0.5, 0.5 + 1e-10], [0.5, 0.5]]
+        corner[2, 2] = 1.0
+        assert decompose_projection(corner).p1.entries[0, 1] == 0.5 + 1e-10
+
     def test_random_splits_satisfy_identities(self):
         rng = np.random.default_rng(34)
         for _ in range(60):
