@@ -127,7 +127,10 @@ class DoaBoundReport:
     the worst squared subset singular value of the P x K steering block at
     subset size m = K - rank(sigma_s) + 1. positivity_predicted records the
     combinatorial criterion P >= m, which is exactly when the floor can be
-    positive.
+    positive. bound_holds (bound <= lambda_min_smoothed + tol) and
+    bound_positive (bound > tol) take tol = tol_for(lambda_max) of the
+    smoothed covariance, so both verdicts are the same for every scaling
+    of sigma_s.
     """
 
     r_sigma_s: int
@@ -152,7 +155,8 @@ def doa_bound(
     tilde_sq = tilde * tilde
     min_diag = float(np.min(scenario.sigma_s.diagonal()))
     bound = tilde_sq * min_diag / kappa
-    lam = float(eigvals_hermitian(smoothed_cov_direct(scenario))[-1])
+    vals = eigvals_hermitian(smoothed_cov_direct(scenario))
+    tol = tol_for(vals[0], tau_rel)
     return DoaBoundReport(
         r_sigma_s=r,
         m=m,
@@ -160,10 +164,10 @@ def doa_bound(
         kappa_eff=float(kappa),
         min_diag=min_diag,
         bound=float(bound),
-        lambda_min_smoothed=lam,
-        bound_holds=bool(bound <= lam + tol_for(abs(lam), tau_rel)),
+        lambda_min_smoothed=float(vals[-1]),
+        bound_holds=bool(bound <= vals[-1] + tol),
         positivity_predicted=bool(scenario.P >= m),
-        bound_positive=bool(bound > 1e-12),
+        bound_positive=bool(bound > tol),
     )
 
 
@@ -250,8 +254,8 @@ def cp_m1(scenario: CpScenario) -> CpM1:
     """Compute the moment matrix two ways and verify they agree.
 
     The summed and factored forms are equal in exact arithmetic; a
-    discrepancy beyond 1e-10 relative to scale means the inputs were
-    corrupted, so it raises instead of returning.
+    discrepancy beyond tol_for(max|entry|, 1e-10) of the summed form means
+    the inputs were corrupted, so it raises instead of returning.
     """
     a = scenario.a_load
     b = scenario.b_load
@@ -262,9 +266,8 @@ def cp_m1(scenario: CpScenario) -> CpM1:
         lag = lag + scaled @ btb @ scaled.T
     core = _score_gram(scenario) * btb
     factored = a @ core @ a.T
-    scale = max(1.0, float(np.max(np.abs(lag))))
     dev = float(np.max(np.abs(lag - factored)))
-    if dev > 1e-10 * scale:
+    if dev > tol_for(np.max(np.abs(lag)), 1e-10):
         raise ArithmeticError(f"moment matrix forms disagree by {dev:.3e}")
     return CpM1(
         lag_form=HermitianMatrix(lag),
@@ -318,14 +321,14 @@ def cp_bound(
     m1_floor = sigma_d1_sq * hadamard_floor
 
     parts = cp_m1(scenario)
-    lam_core = float(eigvals_hermitian(parts.core)[-1])
+    core_vals = eigvals_hermitian(parts.core)
     m1_vals = eigvals_hermitian(parts.factored_form)
     rank_m1 = rank_numeric(parts.factored_form, tau_rel)
     lam_pos = float(m1_vals[rank_m1 - 1]) if rank_m1 >= 1 else 0.0
 
     kg = kruskal_rank(g_mat, tau_rel, budget)
-    slack_core = tol_for(abs(lam_core), tau_rel)
-    slack_m1 = tol_for(abs(lam_pos), tau_rel)
+    slack_core = tol_for(core_vals[0], tau_rel)
+    slack_m1 = tol_for(m1_vals[0], tau_rel)
     return CpBoundReport(
         d1=d1,
         d2=d2,
@@ -334,10 +337,10 @@ def cp_bound(
         sigma_d1_sq=sigma_d1_sq,
         hadamard_floor=float(hadamard_floor),
         m1_floor=float(m1_floor),
-        lambda_min_core=lam_core,
+        lambda_min_core=float(core_vals[-1]),
         lambda_min_pos_m1=lam_pos,
         kruskal_g=kg,
         condition_met=bool(kg >= m),
-        core_floor_holds=bool(hadamard_floor <= lam_core + slack_core),
+        core_floor_holds=bool(hadamard_floor <= core_vals[-1] + slack_core),
         m1_floor_holds=bool(m1_floor <= lam_pos + slack_m1),
     )

@@ -393,7 +393,9 @@ def shift_construction(
     passes. With fraction = 1 and singular A the result is genuinely
     indefinite while C o B remains positive semidefinite. Raises when the
     certified floor for (A, B) is not positive, since then no admissible
-    shift exists.
+    shift exists: positive means above tol_for(lambda_max(A) * max
+    diag(B)), the scale of A o B by Schur's bound ||A o B|| <=
+    lambda_max(A) max_i b_ii.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
@@ -401,7 +403,7 @@ def shift_construction(
     _, m, kappa = floor_order(bm, tau_rel, "second factor")
     mu = min_submatrix_eigenvalue(am, m, budget).value
     floor = mu * float(np.min(bm.diagonal())) / kappa
-    if floor <= tau_rel:
+    if floor <= tol_for(eigvals_hermitian(am)[0] * np.max(bm.diagonal()), tau_rel):
         raise NotPsdError(f"certified floor {floor!r} is not positive; no admissible shift")
     c = fraction * mu / kappa
     return HermitianMatrix.derived("difference A - c I", lambda: am.entries - c * np.eye(am.n)), c

@@ -34,9 +34,12 @@ hit returns the bits a fresh solve would. The keys it holds stay within
 MEMO_KEY_BYTES in total, the least recently used leaving first. Solves
 that carry a question, eig_hermitian and raised errors are not stored.
 
-Tolerances are relative with an absolute floor, tau(scale) = tau_rel *
-max(1, scale). Rank and definiteness decisions default to tau_rel = 1e-9,
-symmetry checks to 1e-12.
+Tolerances are relative with no absolute floor: every rank, definiteness
+and "is zero" decision compares against tol_for(scale) = tau_rel *
+max(0, scale), where scale is a norm of the matrix the decision is about.
+Scaling an input by 2^k scales each such scale, and each reported float,
+exactly by a power of two, and leaves every verdict as it is. Rank and
+definiteness decisions default to tau_rel = 1e-9, symmetry checks to 1e-12.
 """
 
 from __future__ import annotations
@@ -70,9 +73,18 @@ TRACE_ROUND_GUARD = 1e-6
 MEMO_KEY_BYTES = 1 << 20
 
 
-def tol_for(scale: float, tau_rel: float = DEFAULT_TOL_REL) -> float:
-    """Relative tolerance with an absolute floor: tau_rel * max(1, scale)."""
-    return tau_rel * max(1.0, float(scale))
+def tol_for(scale, tau_rel: float = DEFAULT_TOL_REL):
+    """Relative tolerance tau_rel * max(0, scale), elementwise on an array.
+
+    The one threshold rule: a quantity is zero, a matrix singular or a
+    block dependent when it is within this of zero, with scale the norm of
+    the matrix in question (its largest eigenvalue or entry). There is no
+    absolute floor, so the rule is scale-free: tol_for(2^k s) is exactly
+    2^k tol_for(s) away from underflow and overflow. A negative scale,
+    such as a bracket end below zero, gives 0. The rule is nondecreasing
+    in scale, which the Weyl-bracket questions rely on.
+    """
+    return tau_rel * np.maximum(0.0, scale)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +93,7 @@ class HermitianMatrix:
 
     The entry array is normalized to complex128 and frozen read-only.
     NaN and infinite entries are rejected. Conjugate symmetry is asserted
-    within 1e-12 * max(1, max|entry|); inputs further from symmetry than
+    within tol_for(max|entry|, 1e-12); inputs further from symmetry than
     that are rejected rather than silently symmetrized. The spectrum is
     solved on first use and kept, so every rank, definiteness and
     conditioning question about one carrier reads the same eigenvalues;
@@ -553,7 +565,7 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
     if not (NORM_BAND[0] <= fro.min() and fro.max() <= NORM_BAND[1]):
         exp = _band_exponents(w, fro)
     off_tol = JACOBI_OFF_REL * fro
-    skip_tol = off_tol / max(1, n)
+    skip_tol = off_tol / n
     margin = _bracket_margin(n) * fro
     diag = np.full((k, n), np.nan)
     live = np.arange(k)
@@ -630,7 +642,7 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
     Eigenvalues come back non-increasing; eigenvector column k matches
     eigenvalue k. The reconstruction residual is verified against
-    1e-10 * (1 + max|entry|) before returning.
+    tol_for(max|entry|, 1e-10) before returning.
     """
     am = as_hermitian(a)
     v = np.eye(am.n, dtype=np.complex128)
@@ -641,7 +653,7 @@ def eig_hermitian(a) -> SpectralDecomposition:
     dec = SpectralDecomposition(vals, vecs)
     scale = float(np.max(np.abs(am.entries)))
     resid = float(np.max(np.abs(dec.reconstruct() - am.entries)))
-    if resid > EIG_TOL_REL * (1.0 + scale):
+    if resid > tol_for(scale, EIG_TOL_REL):
         raise ConvergenceError(
             f"spectral reconstruction residual {resid:.3e} exceeds tolerance"
         )
@@ -653,7 +665,9 @@ def classify_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> PsdClassification:
 
     Positive definite when lambda_min > tau, indefinite when
     lambda_min < -tau, singular positive semidefinite in between,
-    where tau = tau_rel * max(1, lambda_max).
+    where tau = tol_for(lambda_max, tau_rel): relative to the matrix's own
+    largest eigenvalue, so the zero matrix is singular and 2^k A has A's
+    class.
     """
     vals = eigvals_hermitian(a)
     tau = tol_for(vals[0], tau_rel)
@@ -671,7 +685,8 @@ class _PsdSign:
     """The question of is_psd: classify_psd's verdict, from a Weyl bracket.
 
     The matrix is PSD when lambda_min >= -tol_for(lambda_max). tol_for is
-    nondecreasing, so the lower lambda_min bracket clearing the threshold
+    nondecreasing (it clamps a negative bracket end to a zero threshold),
+    so the lower lambda_min bracket clearing the threshold
     of the lower lambda_max bracket settles True, and the upper lambda_min
     bracket below the threshold of the upper lambda_max bracket settles
     False. The one block then leaves.
@@ -702,7 +717,11 @@ def is_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> bool:
 
 
 def rank_numeric(a, tau_rel: float = DEFAULT_TOL_REL) -> int:
-    """Count of eigenvalues with |lambda| > tau_rel * max(1, max|lambda|)."""
+    """Count of eigenvalues with |lambda| > tol_for(max|lambda|, tau_rel).
+
+    Numerical rank against the matrix's own norm: 0 only for the zero
+    matrix, and the same for A and 2^k A.
+    """
     vals = eigvals_hermitian(a)
     tau = tol_for(float(np.max(np.abs(vals))), tau_rel)
     return int(np.sum(np.abs(vals) > tau))
@@ -739,7 +758,7 @@ def is_orthogonal_projection(p, tol: float = DEFAULT_TOL_REL) -> tuple[bool, int
 def schur_complement(m, i: int, tau_rel: float = DEFAULT_TOL_REL) -> HermitianMatrix:
     """Schur complement that eliminates row/column i against the pivot m[i, i].
 
-    The pivot must exceed tau_rel * max(1, max|entry|); eliminating against
+    The pivot must exceed tol_for(max|entry|, tau_rel); eliminating against
     a vanishing diagonal entry is refused.
     """
     mm = as_hermitian(m)

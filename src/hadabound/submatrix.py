@@ -35,6 +35,7 @@ from .matcore import (
     rank_numeric,
     solved_once,
     stack_eigvals,
+    tol_for,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -262,14 +263,25 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
 
     Hermitian positive semidefinite inputs take a fast path: every q
     columns of such a matrix are independent exactly when the matching
-    q x q principal submatrix is positive definite, judged against that
-    block's own largest eigenvalue. Other inputs, indefinite Hermitian ones
-    included, use eigenvalues of column-subset Gram matrices, judged
-    against the largest eigenvalue of the full Gram matrix; an input whose
-    Grams would overflow or underflow is first scaled by a power of two
-    (see _gram_scaled), and the threshold with it. The two paths
-    decide on different scales: kruskal_rank(diag(1e3, 1e-2)) is 2 but
-    kruskal_rank(diag(1e3, -1e-2)) is 0. A zero column yields 0.
+    q x q principal submatrix is positive definite, judged by
+    matcore.tol_for against that block's own largest eigenvalue. Other
+    inputs, indefinite Hermitian ones included, use eigenvalues of
+    column-subset Gram matrices, judged by tol_for against the largest
+    eigenvalue of the full Gram matrix; an input whose Grams would
+    overflow or underflow is first scaled by a power of two (see
+    _gram_scaled), which scales that eigenvalue and the threshold alike.
+    Both rules are relative with no absolute floor, so kruskal_rank(2^k V)
+    is kruskal_rank(V). A zero column yields 0.
+
+    The two paths decide on different scales: kruskal_rank(diag(1e3,
+    1e-2)) is 2 but kruskal_rank(diag(1e3, -1e-2)) is 0. The Gram path
+    cannot take the PSD path's rule. That rule, applied to the columns
+    themselves, reads sigma_min <= tau_rel * sigma_max, which on a Gram is
+    lambda_min <= tau_rel^2 * lambda_max. A Gram squares the conditioning,
+    so its rounding noise, about eps * sigma_max^2, lies above that
+    threshold and a dependent subset would pass as independent. The Gram
+    path tests lambda_min <= tau_rel * lambda_max of the full Gram instead,
+    well above the noise.
 
     The levels are monotone: by interlacing, when every q-subset passes,
     so does every smaller subset. So the search starts at the numeric rank
@@ -293,17 +305,12 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     psd = herm is not None and classify_psd(herm, tau_rel).is_psd
     if psd:
         blocks = _principal_blocks(herm.entries)
-        # tol_for(lambda_max, tau_rel), elementwise and bit for bit.
-        threshold = lambda top: tau_rel * np.maximum(1.0, top)
+        threshold = lambda top: tol_for(top, tau_rel)
         rank = rank_numeric(herm, tau_rel)
     else:
-        arr, e = _gram_scaled(arr)
+        arr, _ = _gram_scaled(arr)
         gram_vals = eigvals_hermitian(arr.conj().T @ arr)
-        # tol_for(lambda_max, tau_rel) in units of 4^e; inf, so no level
-        # passes, for inputs far below the threshold's absolute floor.
-        with np.errstate(over="ignore"):
-            unit = float(np.ldexp(1.0, -2 * e))
-        tau = tau_rel * max(unit, float(gram_vals[0]))
+        tau = tol_for(gram_vals[0], tau_rel)
         blocks = _gram_blocks(arr)
         threshold = lambda top: tau
         rank = int(np.sum(gram_vals > tau))

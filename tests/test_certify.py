@@ -32,7 +32,7 @@ from hadabound import matcore
 from hadabound.apps import doa_bound
 from hadabound.generators import random_doa_scenario, random_psd_with_kruskal
 from hadabound.matcore import PsdKind, classify_psd, hadamard
-from hadabound.submatrix import min_submatrix_eigenvalue
+from hadabound.submatrix import kruskal_rank, min_submatrix_eigenvalue
 
 A = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 B = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -516,3 +516,72 @@ class TestContentMemo:
             if clear:
                 matcore._MEMO.clear()
             assert self.run(order) == fresh
+
+
+def random_real_pair():
+    """A rank-3 real A and a full-rank real B whose least eigenvalue is 1e-4, order 6."""
+    rng = np.random.default_rng(0)
+    f = rng.normal(size=(6, 6))
+    w, q = np.linalg.eigh(f @ f.T)
+    w[0] = 1e-4
+    b = (q * w) @ q.T
+    g = rng.normal(size=(3, 6))
+    return g.T @ g, (b + b.T) / 2.0
+
+
+class TestScaleEquivariance:
+    """Decisions have no absolute floor: 2^j A and 2^k B give the reports of A and B.
+
+    Each float field scales by 2^(j dA + k dB) exactly, where dA and dB are
+    its degrees in the first and second factor; every integer, boolean
+    and string stays the same. For the indefinite certificate the first
+    factor is C = A - cI, which scales with A.
+    """
+
+    EXPONENTS = (-200, -60, -40, -20, -10, 10, 40, 200)
+    # (dA, dB) of the float fields that are not values of the product A o B.
+    DEGREES = {
+        "mu": (1, 0),
+        "kappa_eff": (0, 0),
+        "min_diag": (0, 1),
+        "min_diag_b": (0, 1),
+        "required_floor": (1, 0),
+        "lambda_min_c": (1, 0),
+    }
+
+    @staticmethod
+    def reports(a, b):
+        c, shift = shift_construction(a, b, 1.0)
+        return shift, [
+            quantitative_bound(a, b),
+            nonsingularity_predicate(a, b),
+            indefinite_certificate(c, b),
+        ]
+
+    def scaled(self, report, j, k):
+        fields = {}
+        for name, value in dataclasses.asdict(report).items():
+            if isinstance(value, float):
+                da, db = self.DEGREES.get(name, (1, 1))
+                fields[name] = math.ldexp(value, j * da + k * db)
+        return dataclasses.replace(report, **fields)
+
+    @pytest.mark.parametrize("pair", ["singular", "random"])
+    def test_reports_scale_exactly(self, pair):
+        a, b = (A, B) if pair == "singular" else random_real_pair()
+        shift, reports = self.reports(a, b)
+        for e in self.EXPONENTS:
+            for j, k in ((e, 0), (0, e), (e, e)):
+                got_shift, got = self.reports(np.ldexp(a, j), np.ldexp(b, k))
+                assert got_shift == math.ldexp(shift, j), (j, k)
+                expected = [self.scaled(report, j, k) for report in reports]
+                assert list(map(report_bits, got)) == list(map(report_bits, expected)), (j, k)
+
+    def test_kruskal_rank_of_a_rectangular_matrix(self):
+        v = np.random.default_rng(0).normal(size=(3, 6))
+        dependent = v.copy()
+        dependent[:, 3] = dependent[:, 0] - 0.5 * dependent[:, 1]
+        for mat, rank in ((v, 3), (dependent, 2)):
+            assert kruskal_rank(mat) == rank
+            for e in self.EXPONENTS:
+                assert kruskal_rank(np.ldexp(mat, e)) == rank, e

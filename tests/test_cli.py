@@ -296,6 +296,36 @@ class TestScalarCommands:
             3 + 2 * math.sqrt(2), abs=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("bound", ("--a", "--b")),
+            ("classical", ("--a", "--b")),
+            ("kappa", ("--b",)),
+            ("kruskal", ("--a",)),
+        ],
+    )
+    def test_fixtures_scaled_far_below_unit_scale(self, tmp_path, capsys, command, flags):
+        """Both factors scaled by 2^-40: the same verdicts, and each float scaled exactly.
+
+        A float of degree d in the factors (the product's values have d = 2)
+        scales by 2^(-40 d).
+        """
+        degrees = {"mu": 1, "min_diag": 1, "kappa_eff": 0}
+        names = {"--a": "singular_pair_a.mtx", "--b": "singular_pair_b.mtx"}
+        plain, scaled = [command], [command]
+        for flag in flags:
+            path = str(tmp_path / names[flag])
+            write_matrix(cli.parse_matrix(fixture_path(names[flag])) * 2.0**-40, path)
+            plain += [flag, fixture_path(names[flag])]
+            scaled += [flag, path]
+        code, doc = run(capsys, *plain)
+        expected = {
+            key: math.ldexp(value, -40 * degrees.get(key, 2)) if isinstance(value, float) else value
+            for key, value in doc["results"].items()
+        }
+        got_code, got = run(capsys, *scaled)
+        assert (got_code, got["results"]) == (code, expected) == (0, expected)
 
     def test_classical_above_the_norm_band(self, tmp_path, capsys):
         """||A||_F^2 overflows: the floor must still sit below lambda_min(A o B)."""

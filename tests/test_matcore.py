@@ -680,8 +680,12 @@ class TestScalarSweepReference:
                 assert np.array_equal(bits, np.ascontiguousarray(y).view(np.uint64)), (kind, n)
 
 
-def test_tol_for_has_absolute_floor():
-    assert tol_for(0.0) == 1e-9
-    assert tol_for(0.5) == 1e-9
+def test_tol_for_is_relative_with_no_floor():
+    assert tol_for(0.0) == 0.0
+    assert tol_for(0.5) == 5e-10
+    assert tol_for(-3.0) == 0.0
     assert tol_for(100.0) == pytest.approx(1e-7, rel=1e-12)
     assert tol_for(2.0, 1e-3) == pytest.approx(2e-3, rel=1e-12)
+    np.testing.assert_array_equal(
+        tol_for(np.array([-1.0, 0.0, 0.5, 2.0])), [0.0, 0.0, 5e-10, 2e-9]
+    )

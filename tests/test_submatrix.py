@@ -284,11 +284,11 @@ class TestKruskalRank:
             warnings.simplefilter("error")
             assert kruskal_rank(f * scale) == 3
 
-    def test_gram_path_keeps_the_absolute_floor_below_the_band(self):
-        """A Gram far below tau_rel * 1 is dependent at every level, scaled or not."""
+    def test_gram_path_has_no_absolute_floor(self):
+        """A Gram far below unit scale, or below the band, keeps the unscaled answer."""
         f = np.random.default_rng(0).normal(size=(3, 5))
         for scale in (1e-5, 1e-170, 1e-300):
-            assert kruskal_rank(f * scale) == 0
+            assert kruskal_rank(f * scale) == kruskal_rank(f) == 3
 
 
 def test_blocks_of_an_accepted_matrix_are_not_revalidated():
@@ -596,16 +596,22 @@ class TestEarlyLeave:
             assert repr(min_subset_singular_value(v, r)) == repr(per_subset_sv(v, r))
 
     def test_lambda_min_exactly_on_the_kruskal_threshold(self):
-        """The least level-4 lambda_min is the threshold: dependent at equality."""
+        """The deciding level-4 block sits on its threshold: dependent at equality.
+
+        That block has the least lambda_min / lambda_max, and tau_rel is
+        that ratio, so tol_for(lambda_max, tau_rel) equals its lambda_min.
+        """
         rng = np.random.default_rng(882)
         f = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
         a = f @ f.conj().T
-        a /= 2.0 * np.linalg.eigvalsh(a)[-1]  # every lambda_max below 1: threshold = tau_rel
-        on = min(
-            stack_eigvals(a[np.ix_(s, s)][None])[0][-1] for s in itertools.combinations(range(8), 4)
+        spectra = (
+            stack_eigvals(a[np.ix_(s, s)][None])[0] for s in itertools.combinations(range(8), 4)
         )
-        assert on > 0.0
-        below = np.nextafter(on, 0.0)
+        top, low = min(((vals[0], vals[-1]) for vals in spectra), key=lambda tl: tl[1] / tl[0])
+        on = low / top
+        assert 0.0 < on < 1.0 and matcore.tol_for(top, on) == low
+        below = on * (1.0 - 2.0**-50)
+        assert matcore.tol_for(top, below) < low
         assert upward_kruskal_rank(a, on) == 3
         assert upward_kruskal_rank(a, below) >= 4
         assert kruskal_rank(a, tau_rel=on) == 3
