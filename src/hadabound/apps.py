@@ -22,14 +22,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NotPsdError, ZeroMatrixError
+from .errors import DimensionError, FormsDisagreeError, ZeroMatrixError
 from .matcore import (
     DEFAULT_TOL_REL,
     HermitianMatrix,
     as_hermitian,
-    classify_psd,
     eigvals_hermitian,
     rank_numeric,
+    require_psd,
     tol_for,
 )
 from .submatrix import (
@@ -79,8 +79,7 @@ class DoaScenario:
         sig = as_hermitian(self.sigma_s)
         if sig.n != self.K:
             raise DimensionError(f"covariance must be {self.K} x {self.K}, got {sig.n}")
-        if not classify_psd(sig).is_psd:
-            raise NotPsdError("source covariance must be positive semidefinite")
+        require_psd(sig, DEFAULT_TOL_REL, "source covariance")
         object.__setattr__(self, "sigma_s", sig)
 
 
@@ -254,8 +253,11 @@ def cp_m1(scenario: CpScenario) -> CpM1:
     """Compute the moment matrix two ways and verify they agree.
 
     The summed and factored forms are equal in exact arithmetic; a
-    discrepancy beyond tol_for(max|entry|, 1e-10) of the summed form means
-    the inputs were corrupted, so it raises instead of returning.
+    discrepancy beyond tol_for(max|entry|, 1e-10) of the summed form raises
+    FormsDisagreeError instead of returning. Either the inputs were
+    corrupted, or the summed form cancels far below the rounding of its
+    terms (columns a and -a + delta with equal second-loading columns), so
+    the moment matrix is rounding noise and no floor on it means anything.
     """
     a = scenario.a_load
     b = scenario.b_load
@@ -268,7 +270,7 @@ def cp_m1(scenario: CpScenario) -> CpM1:
     factored = a @ core @ a.T
     dev = float(np.max(np.abs(lag - factored)))
     if dev > tol_for(np.max(np.abs(lag)), 1e-10):
-        raise ArithmeticError(f"moment matrix forms disagree by {dev:.3e}")
+        raise FormsDisagreeError(f"moment matrix forms disagree by {dev:.3e}")
     return CpM1(
         lag_form=HermitianMatrix(lag),
         factored_form=HermitianMatrix(factored),

@@ -35,6 +35,8 @@ from .matcore import (
     is_orthogonal_projection,
     is_psd,
     rank_numeric,
+    require_psd,
+    same_size,
     tol_for,
 )
 from .submatrix import (
@@ -45,23 +47,10 @@ from .submatrix import (
 )
 
 
-def _require_psd(m: HermitianMatrix, tau_rel: float, label: str) -> None:
-    cls = classify_psd(m, tau_rel)
-    if not cls.is_psd:
-        raise NotPsdError(
-            f"{label} must be positive semidefinite; witness eigenvalue {cls.witness:.6e}"
-        )
-
-
 def _psd_pair(a, b, tau_rel: float) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Carriers of two same-size factors, the first and then the second checked PSD."""
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
-    if am.n != bm.n:
-        raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
-    _require_psd(am, tau_rel, "first factor")
-    _require_psd(bm, tau_rel, "second factor")
-    return am, bm
+    am, bm = same_size(a, b)
+    return require_psd(am, tau_rel, "first factor"), require_psd(bm, tau_rel, "second factor")
 
 
 def classical_bound(a, b, tau_rel: float = DEFAULT_TOL_REL) -> float:
@@ -72,10 +61,7 @@ def classical_bound(a, b, tau_rel: float = DEFAULT_TOL_REL) -> float:
 
 def loewner_check(m, c: float, d, tau_rel: float = DEFAULT_TOL_REL) -> bool:
     """Whether M - c * D is positive semidefinite within tolerance."""
-    mm = as_hermitian(m)
-    dm = as_hermitian(d)
-    if mm.n != dm.n:
-        raise DimensionError(f"operand sizes differ: {mm.n} vs {dm.n}")
+    mm, dm = same_size(m, d)
     diff = HermitianMatrix.derived("difference M - c D", lambda: mm.entries - float(c) * dm.entries)
     return is_psd(diff, tau_rel)
 
@@ -355,11 +341,7 @@ def indefinite_certificate(
     c, b, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET
 ) -> IndefiniteCertificate:
     """Evaluate the submatrix floor hypothesis for Hermitian C against PSD B."""
-    cm = as_hermitian(c)
-    bm = as_hermitian(b)
-    if cm.n != bm.n:
-        raise DimensionError(f"operand sizes differ: {cm.n} vs {bm.n}")
-    _require_psd(bm, tau_rel, "second factor")
+    cm, bm = same_size(c, b)
     r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
     mu = min_submatrix_eigenvalue(cm, m, budget).value
     lam_c = float(eigvals_hermitian(cm)[-1])

@@ -33,11 +33,10 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
-    DimensionError,
     MatrixFormatError,
     ScenarioFormatError,
 )
-from .matcore import HermitianMatrix, eigvals_hermitian, hadamard, tol_for
+from .matcore import HermitianMatrix, eigvals_hermitian, hadamard, same_size, tol_for
 from .submatrix import (
     DEFAULT_BUDGET,
     effective_condition_number,
@@ -257,10 +256,7 @@ def _verdict(fields: dict, checks) -> tuple[int, dict]:
 def _cmd_bound(args) -> tuple[dict, list]:
     from .certify import BoundReport, quantitative_bound
 
-    a = _hermitian_from_file(args.a)
-    b = _hermitian_from_file(args.b)
-    if a.n != b.n:
-        raise DimensionError(f"operand sizes differ: {a.n} vs {b.n}")
+    a, b = same_size(_hermitian_from_file(args.a), _hermitian_from_file(args.b))
     # A zero diagonal entry makes every floor vacuous; report that before
     # attempting a definiteness classification. A clearly negative entry
     # is left to that classification, which rejects B.

@@ -34,6 +34,10 @@ class NotProjectionError(ValueError):
     """A matrix required to be an orthogonal projection fails the check."""
 
 
+class FormsDisagreeError(ValueError):
+    """Two forms of one quantity, equal in exact arithmetic, differ beyond tolerance."""
+
+
 class BudgetExceededError(RuntimeError):
     """A subset enumeration would exceed the configured budget."""
 

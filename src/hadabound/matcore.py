@@ -34,6 +34,13 @@ hit returns the bits a fresh solve would. The keys it holds stay within
 MEMO_KEY_BYTES in total, the least recently used leaving first. Solves
 that carry a question, eig_hermitian and raised errors are not stored.
 
+Each precondition on an input is decided in one function here:
+finite_matrix (2-D, nonempty, finite, and square unless asked otherwise),
+which every carrier and every rectangular input passes; same_size (two
+operands of one size); and require_psd (a factor classify_psd finds
+positive semidefinite, refused under the caller's label with the witness
+eigenvalue).
+
 Tolerances are relative with no absolute floor: every rank, definiteness
 and "is zero" decision compares against tol_for(scale) = tau_rel *
 max(0, scale), where scale is a norm of the matrix the decision is about.
@@ -59,6 +66,7 @@ from .errors import (
     HermitianityError,
     NonFiniteError,
     NotProjectionError,
+    NotPsdError,
     ZeroPivotError,
 )
 
@@ -87,6 +95,21 @@ def tol_for(scale, tau_rel: float = DEFAULT_TOL_REL):
     return tau_rel * np.maximum(0.0, scale)
 
 
+def finite_matrix(a, square: bool = True) -> np.ndarray:
+    """A new complex128 copy of a: 2-D, nonempty, finite, and square unless square=False.
+
+    Carriers, the projection check and the rectangular column scans take
+    their input through it before any decision about that input.
+    """
+    arr = np.array(a, dtype=np.complex128)
+    if arr.ndim != 2 or arr.size == 0 or (square and arr.shape[0] != arr.shape[1]):
+        kind = "square" if square else "nonempty 2-D"
+        raise DimensionError(f"expected a {kind} matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError("matrix has a NaN or infinite entry")
+    return arr
+
+
 @dataclasses.dataclass(frozen=True)
 class HermitianMatrix:
     """Square complex matrix, validated Hermitian at construction.
@@ -103,13 +126,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise DimensionError("matrix must have at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("matrix has a NaN or infinite entry")
+        arr = finite_matrix(self.entries)
         scale = float(np.max(np.abs(arr)))
         tol = tol_for(scale, SYMMETRY_TOL_REL)
         dev = float(np.max(np.abs(arr - arr.conj().T)))
@@ -182,12 +199,17 @@ def as_hermitian(a) -> HermitianMatrix:
     return HermitianMatrix(a)
 
 
-def hadamard(a, b) -> HermitianMatrix:
-    """Entrywise product of two Hermitian matrices of the same size."""
-    am = as_hermitian(a)
-    bm = as_hermitian(b)
+def same_size(a, b) -> tuple[HermitianMatrix, HermitianMatrix]:
+    """Carriers of two operands, which must be of the same size."""
+    am, bm = as_hermitian(a), as_hermitian(b)
     if am.n != bm.n:
         raise DimensionError(f"operand sizes differ: {am.n} vs {bm.n}")
+    return am, bm
+
+
+def hadamard(a, b) -> HermitianMatrix:
+    """Entrywise product of two Hermitian matrices of the same size."""
+    am, bm = same_size(a, b)
     return HermitianMatrix.derived("entrywise product A o B", lambda: am.entries * bm.entries)
 
 
@@ -681,6 +703,20 @@ def classify_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> PsdClassification:
     return PsdClassification(kind, lam_min)
 
 
+def require_psd(a, tau_rel: float, label: str) -> HermitianMatrix:
+    """The carrier of a, which classify_psd must find positive semidefinite.
+
+    Raises NotPsdError naming label and the witness eigenvalue otherwise.
+    """
+    am = as_hermitian(a)
+    cls = classify_psd(am, tau_rel)
+    if not cls.is_psd:
+        raise NotPsdError(
+            f"{label} must be positive semidefinite; witness eigenvalue {cls.witness:.6e}"
+        )
+    return am
+
+
 class _PsdSign:
     """The question of is_psd: classify_psd's verdict, from a Weyl bracket.
 
@@ -733,15 +769,11 @@ def is_orthogonal_projection(p, tol: float = DEFAULT_TOL_REL) -> tuple[bool, int
     Returns (True, rank) when both the symmetry defect and the idempotency
     defect are within tol in max norm. The rank is the rounded trace; a
     trace further than 1e-6 from an integer raises, since that indicates a
-    matrix that only superficially resembles a projection. A NaN or
-    infinite entry raises as it does for a carrier, since no defect
-    comparison can reject it.
+    matrix that only superficially resembles a projection. The input
+    passes finite_matrix first, as a carrier's does: a NaN or infinite
+    entry raises, since no defect comparison can reject it.
     """
-    arr = np.asarray(p, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("matrix has a NaN or infinite entry")
+    arr = finite_matrix(p)
     herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
     idem_dev = float(np.max(np.abs(arr @ arr - arr)))
     if herm_dev > tol or idem_dev > tol:

@@ -23,7 +23,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     HermitianityError,
-    NotPsdError,
     ZeroMatrixError,
 )
 from .matcore import (
@@ -32,7 +31,9 @@ from .matcore import (
     as_hermitian,
     classify_psd,
     eigvals_hermitian,
+    finite_matrix,
     rank_numeric,
+    require_psd,
     solved_once,
     stack_eigvals,
     tol_for,
@@ -170,13 +171,6 @@ def _gram_blocks(arr: np.ndarray):
     return blocks
 
 
-def _nonempty_2d(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    return arr
-
-
 def _gram_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """(2^-e arr, e): the input scaled so that the Grams of its columns stay exact enough.
 
@@ -295,7 +289,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     the walk up from q = 1, so the budget trips only where that walk needs
     a level over it.
     """
-    arr = _nonempty_2d(mat)
+    arr = finite_matrix(mat, square=False)
     n_cols = arr.shape[1]
 
     try:
@@ -340,30 +334,30 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         return walk_up(0)
 
 
-def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:
-    """Largest positive eigenvalue over the smallest positive eigenvalue.
-
-    Defined for positive semidefinite matrices with at least one eigenvalue
-    above the rank threshold; equals the ordinary condition number when the
-    matrix is nonsingular and is always at least 1.
-    """
-    bm = as_hermitian(b)
-    if not classify_psd(bm, tau_rel).is_psd:
-        raise NotPsdError("effective condition number requires a positive semidefinite matrix")
-    r = rank_numeric(bm, tau_rel)
-    if r == 0:
-        raise ZeroMatrixError("matrix is numerically zero; no positive eigenvalues")
-    vals = eigvals_hermitian(bm)
-    return float(vals[0] / vals[r - 1])
-
-
 def floor_order(b, tau_rel: float, label: str) -> tuple[int, int, float]:
-    """Rank r of B, the floor's order n - r + 1 and kappa_eff(B); refuses a zero B."""
-    bm = as_hermitian(b)
+    """Rank r of B, the floor's order n - r + 1 and kappa_eff(B), from B's one spectrum.
+
+    B must be positive semidefinite (matcore.require_psd) and not
+    numerically zero; either refusal names label. kappa_eff is
+    lambda_1 / lambda_r, the largest eigenvalue over the least one above
+    the rank threshold: the ordinary condition number when B is
+    nonsingular, and at least 1. Every answer reads B's carrier spectrum,
+    solved once.
+    """
+    bm = require_psd(b, tau_rel, label)
     rank = rank_numeric(bm, tau_rel)
     if rank == 0:
         raise ZeroMatrixError(f"{label} is numerically zero")
-    return rank, bm.n - rank + 1, effective_condition_number(bm, tau_rel)
+    vals = eigvals_hermitian(bm)
+    return rank, bm.n - rank + 1, float(vals[0] / vals[rank - 1])
+
+
+def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:
+    """Largest positive eigenvalue over the smallest positive eigenvalue.
+
+    floor_order's kappa_eff, with its refusals labelled "matrix".
+    """
+    return floor_order(b, tau_rel, "matrix")[2]
 
 
 def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -374,7 +368,7 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     negative rounding noise is clamped at zero before the square root, and
     the result is scaled back by 2^e.
     """
-    arr, e = _gram_scaled(_nonempty_2d(v))
+    arr, e = _gram_scaled(finite_matrix(v, square=False))
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")

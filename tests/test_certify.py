@@ -29,10 +29,10 @@ from hadabound.errors import (
     ZeroMatrixError,
 )
 from hadabound import matcore
-from hadabound.apps import doa_bound
+from hadabound.apps import CpScenario, DoaScenario, cp_bound, doa_bound
 from hadabound.generators import random_doa_scenario, random_psd_with_kruskal
 from hadabound.matcore import PsdKind, classify_psd, hadamard
-from hadabound.submatrix import kruskal_rank, min_submatrix_eigenvalue
+from hadabound.submatrix import effective_condition_number, kruskal_rank, min_submatrix_eigenvalue
 
 A = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 B = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -585,3 +585,71 @@ class TestScaleEquivariance:
             assert kruskal_rank(mat) == rank
             for e in self.EXPONENTS:
                 assert kruskal_rank(np.ldexp(mat, e)) == rank, e
+
+
+# Unit columns u, w and (u + w) / |u + w|: B*B has rank 2, and its computed
+# smallest eigenvalue is a negative rounding residue that a tolerance of
+# 1e-20 does not absorb, so the Gram matrix classifies as indefinite.
+CP_ROUNDED = CpScenario(
+    d=3,
+    a_load=np.eye(3),
+    b_load=np.array([
+        [0.7415052042025201, -0.8967022761251738, -0.3752736446093569],
+        [0.5385471155343273, -0.4416644114201207, 0.23426682618514813],
+        [-0.4001712589507583, 0.029284393059288184, -0.8968214681923866],
+    ]),
+    g=(np.ones(3),),
+)
+
+
+class TestSharedRefusals:
+    """A precondition is refused in the same words by every entry point that needs it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            hadamard,
+            lambda a, b: loewner_check(a, 1.0, b),
+            classical_bound,
+            quantitative_bound,
+            nonsingularity_predicate,
+            indefinite_certificate,
+            lambda a, b: shift_construction(a, b, 1.0),
+        ],
+        ids=[
+            "hadamard", "loewner_check", "classical_bound", "quantitative_bound",
+            "nonsingularity_predicate", "indefinite_certificate", "shift_construction",
+        ],
+    )
+    def test_operand_sizes_differ(self, call):
+        with pytest.raises(DimensionError) as err:
+            call(A, np.eye(2))
+        assert str(err.value) == "operand sizes differ: 3 vs 2"
+
+    @pytest.mark.parametrize(
+        "call,label",
+        [
+            (lambda: classical_bound(C, B), "first factor"),
+            (lambda: quantitative_bound(A, C), "second factor"),
+            (lambda: nonsingularity_predicate(C, B), "first factor"),
+            (lambda: indefinite_certificate(A, C), "second factor"),
+            (lambda: shift_construction(A, C, 1.0), "second factor"),
+            (lambda: effective_condition_number(C), "matrix"),
+            (
+                lambda: DoaScenario(N=4, K=3, P=2, omega=(-1.0, 0.0, 1.0), sigma_s=C),
+                "source covariance",
+            ),
+            (lambda: cp_bound(CP_ROUNDED, 1e-20), "second loading Gram matrix"),
+        ],
+        ids=[
+            "classical_bound", "quantitative_bound", "nonsingularity_predicate",
+            "indefinite_certificate", "shift_construction", "effective_condition_number",
+            "DoaScenario", "cp_bound",
+        ],
+    )
+    def test_not_psd_names_the_matrix_and_its_witness(self, call, label):
+        with pytest.raises(NotPsdError) as err:
+            call()
+        assert str(err.value).startswith(
+            f"{label} must be positive semidefinite; witness eigenvalue -"
+        )

@@ -168,6 +168,15 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "second factor must be positive semidefinite" in captured.err
 
+    def test_operand_sizes_must_agree(self, tmp_path, capsys):
+        a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(A, a_path)
+        write_matrix(np.eye(2), b_path)
+        code = dispatch(["bound", "--a", a_path, "--b", b_path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: operand sizes differ: 3 vs 2\n"
+
     def test_indefinite_input_is_a_usage_error(self, capsys):
         code = dispatch(
             [
@@ -606,6 +615,35 @@ class TestScenarioCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and "A_load has a NaN or infinite entry" in err
+
+    def test_cp_forms_that_cancel_below_their_rounding(self, tmp_path, capsys):
+        """Accepted loadings whose summed moment form is rounding noise: no quantity, exit 2.
+
+        Columns a and -a + delta, and equal second-loading columns, make the
+        summed form about 1e-15 against terms of about 80, so the two forms
+        disagree by more than the check's tolerance at the summed form's scale.
+        """
+        path = tmp_path / "s.json"
+        doc = {
+            "d": 2,
+            "A_load": [
+                [0.5214690752420352, -0.5214690705609196],
+                [0.20972360202363263, -0.20972359912431895],
+                [-0.8270949246129187, 0.8270949282994502],
+            ],
+            "B_load": [
+                [0.7768565446870102, 0.7768565446870102],
+                [0.6267582445143515, 0.6267582445143515],
+                [0.06056411404658504, 0.06056411404658504],
+            ],
+            "g": [[5.427618800870854, 5.427618770248254]],
+        }
+        path.write_text(json.dumps(doc))
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: moment matrix forms disagree by ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestSelftestCommand:

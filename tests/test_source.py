@@ -1,0 +1,74 @@
+"""Checks on the package source itself: its code-line count and its imports.
+
+bench/loc.py counts the code lines that the project's records quote; the
+test here pins what it counts on a small synthetic module. The import
+guard stands in for a linter: a relative import whose name its module
+never uses fails.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hadabound"
+
+_spec = importlib.util.spec_from_file_location("bench_loc", ROOT / "bench" / "loc.py")
+loc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(loc)
+
+SYNTHETIC = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    y = """a string that is
+not a docstring"""
+    return (x,
+            y)
+
+
+class K:
+    "class docstring"
+    z = 1
+'''
+
+
+def test_loc_counts_lines_holding_code_tokens(tmp_path, capsys):
+    # import, def, the two lines of y, the two of return, class, z.
+    assert loc.code_lines(SYNTHETIC) == 8
+    (tmp_path / "m.py").write_text(SYNTHETIC)
+    (tmp_path / "e.py").write_text('"""Only a docstring."""\n')
+    assert loc.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["e.py", "0"], ["m.py", "8"], ["total", "8"]]
+
+
+def unused_relative_imports(source: str) -> list[str]:
+    """Names bound by a relative import that no expression of the module reads."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    )
+
+
+def test_unused_import_guard_finds_an_unused_name():
+    source = "from .a import b, c as d\nfrom os import path\n\n\ndef f():\n    return b()\n"
+    assert unused_relative_imports(source) == ["d"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_relative_import_is_used(module):
+    assert unused_relative_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

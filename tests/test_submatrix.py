@@ -19,6 +19,7 @@ from hadabound.errors import (
     ConvergenceError,
     DimensionError,
     HermitianityError,
+    NonFiniteError,
     NotPsdError,
     ZeroMatrixError,
 )
@@ -413,6 +414,21 @@ class TestMinSubsetSingularValue:
             min_subset_singular_value(np.eye(3), 4)
         with pytest.raises(DimensionError):
             min_subset_singular_value(np.zeros((0, 2)), 1)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda v: min_subset_singular_value(v, 2), kruskal_rank],
+    ids=["min_subset_singular_value", "kruskal_rank"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rectangular_non_finite_input_is_refused_before_any_solve(scan, bad):
+    v = np.random.default_rng(27).normal(size=(3, 5))
+    v[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            scan(v)
 
 
 class TestScanChunks:
