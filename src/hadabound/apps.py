@@ -28,6 +28,7 @@ from .matcore import (
     HermitianMatrix,
     as_hermitian,
     eigvals_hermitian,
+    least_positive,
     rank_numeric,
     require_psd,
     tol_for,
@@ -201,31 +202,27 @@ class CpScenario:
     g: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        a = np.array(self.a_load, dtype=np.float64)
-        b = np.array(self.b_load, dtype=np.float64)
+        if self.d < 1:
+            raise ValueError("need at least one factor")
+        for attr, field, name in (("a_load", "A_load", "first"), ("b_load", "B_load", "second")):
+            mat = np.array(getattr(self, attr), dtype=np.float64)
+            if mat.ndim != 2 or mat.shape[1] != self.d:
+                raise DimensionError(f"{name} loading must have {self.d} columns, got {mat.shape}")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{field} has a NaN or infinite entry")
+            if np.max(np.abs(np.linalg.norm(mat, axis=0) - 1.0)) > 1e-9:
+                raise ValueError(f"{name} loading columns must have unit norm")
+            mat.setflags(write=False)
+            object.__setattr__(self, attr, mat)
         scores = tuple(np.array(v, dtype=np.float64) for v in self.g)
-        if a.ndim != 2 or a.shape[1] != self.d:
-            raise DimensionError(f"first loading must have {self.d} columns, got {a.shape}")
-        if b.ndim != 2 or b.shape[1] != self.d:
-            raise DimensionError(f"second loading must have {self.d} columns, got {b.shape}")
         if len(scores) < 1:
             raise ValueError("need at least one score vector")
         for v in scores:
             if v.shape != (self.d,):
                 raise DimensionError(f"score vectors must have length {self.d}, got {v.shape}")
-        for name, values in (("A_load", (a,)), ("B_load", (b,)), ("g", scores)):
-            if not all(np.isfinite(v).all() for v in values):
-                raise ValueError(f"{name} has a NaN or infinite entry")
-        for name, mat in (("first", a), ("second", b)):
-            norms = np.linalg.norm(mat, axis=0)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ValueError(f"{name} loading columns must have unit norm")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        for v in scores:
+            if not np.isfinite(v).all():
+                raise ValueError("g has a NaN or infinite entry")
             v.setflags(write=False)
-        object.__setattr__(self, "a_load", a)
-        object.__setattr__(self, "b_load", b)
         object.__setattr__(self, "g", scores)
 
 
@@ -309,28 +306,23 @@ def cp_bound(
 ) -> CpBoundReport:
     """Certified floors for the factor-model moment matrix."""
     btb = HermitianMatrix(scenario.b_load.T @ scenario.b_load)
-    gram = _score_gram(scenario)
-    g_mat = HermitianMatrix(gram)
+    g_mat = HermitianMatrix(_score_gram(scenario))
     d2, m, kappa = floor_order(btb, tau_rel, "second loading Gram matrix")
     if rank_numeric(g_mat, tau_rel) == 0:
         raise ZeroMatrixError("score Gram matrix is numerically zero")
     mu = min_submatrix_eigenvalue(g_mat, m, budget).value
     hadamard_floor = mu / kappa
 
-    a_gram = HermitianMatrix(scenario.a_load.T @ scenario.a_load)
-    d1 = rank_numeric(a_gram, tau_rel)
-    sigma_d1_sq = float(eigvals_hermitian(a_gram)[d1 - 1]) if d1 >= 1 else 0.0
+    d1, sigma_d1_sq = least_positive(scenario.a_load.T @ scenario.a_load, tau_rel)
     m1_floor = sigma_d1_sq * hadamard_floor
 
     parts = cp_m1(scenario)
     core_vals = eigvals_hermitian(parts.core)
-    m1_vals = eigvals_hermitian(parts.factored_form)
-    rank_m1 = rank_numeric(parts.factored_form, tau_rel)
-    lam_pos = float(m1_vals[rank_m1 - 1]) if rank_m1 >= 1 else 0.0
+    _, lam_pos = least_positive(parts.factored_form, tau_rel)
 
     kg = kruskal_rank(g_mat, tau_rel, budget)
     slack_core = tol_for(core_vals[0], tau_rel)
-    slack_m1 = tol_for(m1_vals[0], tau_rel)
+    slack_m1 = tol_for(eigvals_hermitian(parts.factored_form)[0], tau_rel)
     return CpBoundReport(
         d1=d1,
         d2=d2,

@@ -220,41 +220,32 @@ def decompose_projection(proj, tol: float = DEFAULT_TOL_REL) -> ProjectionParts:
             f"border norm ||x||^2 = {norm_x_sq!r} does not match p(1-p) = {p * (1.0 - p)!r}"
         )
 
+    q = r = None
     if p <= tol or p >= 1.0 - tol:
         # Border is forced to zero; the leading block is a projection whose
         # residual is bounded by ||x||^2 <= tol, hence the relaxed check.
         ok1, rank1 = is_orthogonal_projection(p1_block, 2.0 * tol)
         if not ok1 or rank1 != rank - round(p):
             raise NotProjectionError("leading block is not a projection of the expected rank")
-        return ProjectionParts(
-            p1=HermitianMatrix.derived("leading block", lambda: p1_block),
-            x=x,
-            p=p,
-            q=None,
-            r=None,
-            rank=rank,
-        )
-
-    outer = np.outer(x, x.conj())
-    q_arr = p1_block - outer / p
-    r_arr = q_arr + outer / norm_x_sq
-    ok_q, rank_q = is_orthogonal_projection(q_arr, tol)
-    if not ok_q or rank_q != rank - 1:
-        raise NotProjectionError("reduced block q is not a projection of rank one less")
-    qx = float(np.max(np.abs(q_arr @ x)))
-    if qx > tol:
-        raise NotProjectionError(f"reduced block does not annihilate the border (|qx| = {qx:.3e})")
-    ok_r, rank_r = is_orthogonal_projection(r_arr, tol)
-    if not ok_r or rank_r != rank:
-        raise NotProjectionError("restored block r is not a projection of the original rank")
-    return ProjectionParts(
-        p1=HermitianMatrix.derived("leading block", lambda: p1_block),
-        x=x,
-        p=p,
-        q=HermitianMatrix.derived("reduced block q", lambda: q_arr),
-        r=HermitianMatrix.derived("restored block r", lambda: r_arr),
-        rank=rank,
-    )
+    else:
+        outer = np.outer(x, x.conj())
+        q_arr = p1_block - outer / p
+        r_arr = q_arr + outer / norm_x_sq
+        ok_q, rank_q = is_orthogonal_projection(q_arr, tol)
+        if not ok_q or rank_q != rank - 1:
+            raise NotProjectionError("reduced block q is not a projection of rank one less")
+        qx = float(np.max(np.abs(q_arr @ x)))
+        if qx > tol:
+            raise NotProjectionError(
+                f"reduced block does not annihilate the border (|qx| = {qx:.3e})"
+            )
+        ok_r, rank_r = is_orthogonal_projection(r_arr, tol)
+        if not ok_r or rank_r != rank:
+            raise NotProjectionError("restored block r is not a projection of the original rank")
+        q = HermitianMatrix.derived("reduced block q", lambda: q_arr)
+        r = HermitianMatrix.derived("restored block r", lambda: r_arr)
+    p1 = HermitianMatrix.derived("leading block", lambda: p1_block)
+    return ProjectionParts(p1=p1, x=x, p=p, q=q, r=r, rank=rank)
 
 
 @dataclasses.dataclass(frozen=True)

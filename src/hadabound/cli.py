@@ -36,7 +36,15 @@ from .errors import (
     MatrixFormatError,
     ScenarioFormatError,
 )
-from .matcore import HermitianMatrix, eigvals_hermitian, hadamard, same_size, tol_for
+from .matcore import (
+    DEFAULT_TOL_REL,
+    HermitianMatrix,
+    eigvals_hermitian,
+    finite_matrix,
+    hadamard,
+    same_size,
+    tol_for,
+)
 from .submatrix import (
     DEFAULT_BUDGET,
     effective_condition_number,
@@ -57,16 +65,11 @@ def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
     def error(line_no: int, col_no: int, what: str) -> MatrixFormatError:
         return MatrixFormatError(f"{source}:{line_no}:{col_no}: {what}")
 
-    lines = text.splitlines()
-    header_idx = None
-    for idx, line in enumerate(lines):
-        if line.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
+    numbered = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not numbered:
         raise error(1, 1, "empty file")
-    header_no = header_idx + 1
-    header = lines[header_idx].split()
+    (header_no, header_line), body = numbered[0], numbered[1:]
+    header = header_line.split()
     if len(header) != 4 or header[0] != "n":
         raise error(header_no, 1, "header must be 'n <rows> <cols> <real|complex>'")
     try:
@@ -75,44 +78,38 @@ def parse_matrix_text(text: str, source: str = "<string>") -> np.ndarray:
         raise error(header_no, 3, "row and column counts must be integers") from None
     kind = header[3]
     if kind not in ("real", "complex"):
-        col_no = lines[header_idx].find(kind) + 1
+        col_no = header_line.find(kind) + 1
         raise error(header_no, col_no, f"entry kind must be 'real' or 'complex', got {kind!r}")
     if rows < 1 or cols < 1:
         raise error(header_no, 3, "row and column counts must be positive")
-
-    body = [
-        (idx, line)
-        for idx, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2)
-        if line.strip()
-    ]
     if len(body) != rows:
         raise error(header_no, 1, f"expected {rows} data rows, found {len(body)}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for r, (line_no, line) in enumerate(body):
+
+    # The array is built from the entries read, never sized from the header,
+    # so a header claiming a huge matrix fails on its first short row.
+    values = []
+    for line_no, line in body:
         tokens = list(_TOKEN.finditer(line))
         if len(tokens) != cols:
             raise error(line_no, 1, f"expected {cols} entries, found {len(tokens)}")
-        for c, tok in enumerate(tokens):
-            col_no = tok.start() + 1
-            raw = tok.group()
-            if "," in raw:
-                if kind != "complex":
-                    raise error(line_no, col_no, f"complex entry {raw!r} in a real matrix")
-                parts = raw.split(",")
-                if len(parts) != 2:
-                    raise error(line_no, col_no, f"malformed complex entry {raw!r}")
-                try:
-                    out[r, c] = complex(float(parts[0]), float(parts[1]))
-                except ValueError:
-                    raise error(line_no, col_no, f"cannot parse complex entry {raw!r}") from None
-            else:
-                try:
-                    out[r, c] = float(raw)
-                except ValueError:
-                    raise error(line_no, col_no, f"cannot parse entry {raw!r}") from None
-            if not np.isfinite(out[r, c]):
+        row = []
+        for tok in tokens:
+            col_no, raw = tok.start() + 1, tok.group()
+            if "," in raw and kind != "complex":
+                raise error(line_no, col_no, f"complex entry {raw!r} in a real matrix")
+            if raw.count(",") > 1:
+                raise error(line_no, col_no, f"malformed complex entry {raw!r}")
+            try:
+                # A real entry, or the two parts of a complex one.
+                value = complex(*map(float, raw.split(",")))
+            except ValueError:
+                what = "complex entry" if "," in raw else "entry"
+                raise error(line_no, col_no, f"cannot parse {what} {raw!r}") from None
+            if not np.isfinite(value):
                 raise error(line_no, col_no, f"non-finite entry {raw!r}")
-    return out
+            row.append(value)
+        values.append(row)
+    return np.array(values, dtype=np.complex128)
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -230,11 +227,11 @@ def emit_report(doc: dict, path: str | None) -> None:
 _INPUT_KEYS = ("a", "b", "c", "p", "scenario", "m", "fraction", "tol", "budget", "seed")
 
 
-def _hermitian_from_file(path: str) -> HermitianMatrix:
-    """The carrier of a matrix file; a carrier error names the file, as parse errors do."""
+def _from_file(path: str, build=HermitianMatrix):
+    """build(the matrix in a file); an error of build names the file, as parse errors do."""
     arr = parse_matrix(path)
     try:
-        return HermitianMatrix(arr)
+        return build(arr)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -256,7 +253,7 @@ def _verdict(fields: dict, checks) -> tuple[int, dict]:
 def _cmd_bound(args) -> tuple[dict, list]:
     from .certify import BoundReport, quantitative_bound
 
-    a, b = same_size(_hermitian_from_file(args.a), _hermitian_from_file(args.b))
+    a, b = same_size(_from_file(args.a), _from_file(args.b))
     # A zero diagonal entry makes every floor vacuous; report that before
     # attempting a definiteness classification. A clearly negative entry
     # is left to that classification, which rejects B.
@@ -272,8 +269,8 @@ def _cmd_bound(args) -> tuple[dict, list]:
 def _cmd_classical(args) -> tuple[dict, list]:
     from .certify import classical_bound
 
-    a = _hermitian_from_file(args.a)
-    b = _hermitian_from_file(args.b)
+    a = _from_file(args.a)
+    b = _from_file(args.b)
     value = classical_bound(a, b, args.tol)
     vals = eigvals_hermitian(hadamard(a, b))
     ok = value <= vals[-1] + tol_for(vals[0], args.tol)
@@ -289,7 +286,7 @@ def _cmd_kruskal(args) -> tuple[dict, None]:
 
 
 def _cmd_mu(args) -> tuple[dict, None]:
-    a = _hermitian_from_file(args.a)
+    a = _from_file(args.a)
     if not 1 <= args.m <= a.n:
         raise ValueError(f"--m must lie in [1, {a.n}], got {args.m}")
     result = min_submatrix_eigenvalue(a, args.m, args.budget)
@@ -301,7 +298,7 @@ def _cmd_mu(args) -> tuple[dict, None]:
 
 
 def _cmd_kappa(args) -> tuple[dict, None]:
-    b = _hermitian_from_file(args.b)
+    b = _from_file(args.b)
     return {"kappa_eff": effective_condition_number(b, args.tol)}, None
 
 
@@ -315,8 +312,8 @@ def _certificate_checks(cert) -> list[tuple[bool, str]]:
 def _cmd_projection(args) -> tuple[dict, list]:
     from .certify import projection_certificate
 
-    c = _hermitian_from_file(args.c)
-    p = parse_matrix(args.p)
+    c = _from_file(args.c)
+    p = _from_file(args.p, finite_matrix)
     cert = projection_certificate(c, p, args.tol, args.budget)
     return dataclasses.asdict(cert), _certificate_checks(cert)
 
@@ -331,12 +328,12 @@ def _cmd_certify_indefinite(args) -> tuple[dict, list]:
     fraction = 1.0 if args.fraction is None else args.fraction
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"--fraction must lie in (0, 1], got {args.fraction!r}")
-    b = _hermitian_from_file(args.b)
+    b = _from_file(args.b)
     shift = None
     if args.c is not None:
-        c = _hermitian_from_file(args.c)
+        c = _from_file(args.c)
     else:
-        a = _hermitian_from_file(args.a)
+        a = _from_file(args.a)
         c, shift = shift_construction(a, b, fraction, args.tol, args.budget)
     cert = indefinite_certificate(c, b, args.tol, args.budget)
     return {"shift": shift, **dataclasses.asdict(cert)}, _certificate_checks(cert)
@@ -448,7 +445,8 @@ _COMMANDS = {
 }
 
 _COMMON_OPTIONS = {
-    "--tol": {"type": _tolerance, "default": 1e-9, "help": "relative tolerance in (0, 1)"},
+    "--tol": {"type": _tolerance, "default": DEFAULT_TOL_REL,
+              "help": "relative tolerance in (0, 1)"},
     "--budget": {"type": _count, "default": DEFAULT_BUDGET, "help": "subset budget"},
     "--json": {"dest": "json_path", "default": None, "help": "write the report here"},
     "--timing": {"action": "store_true", "help": "include wall time in the report"},

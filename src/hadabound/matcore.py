@@ -187,8 +187,6 @@ class HermitianMatrix:
         return self.entries.diagonal().real.copy()
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return np.array(self.entries)
         return np.array(self.entries, dtype=dtype)
 
 
@@ -761,6 +759,17 @@ def rank_numeric(a, tau_rel: float = DEFAULT_TOL_REL) -> int:
     vals = eigvals_hermitian(a)
     tau = tol_for(float(np.max(np.abs(vals))), tau_rel)
     return int(np.sum(np.abs(vals) > tau))
+
+
+def least_positive(a, tau_rel: float = DEFAULT_TOL_REL) -> tuple[int, float]:
+    """(r, lambda_r): rank_numeric(a, tau_rel) and the r-th largest eigenvalue, 0.0 when r is 0.
+
+    For a positive semidefinite a, lambda_r is its least eigenvalue above
+    the rank threshold, read from the same spectrum as r.
+    """
+    am = as_hermitian(a)
+    r = rank_numeric(am, tau_rel)
+    return r, float(eigvals_hermitian(am)[r - 1]) if r >= 1 else 0.0
 
 
 def is_orthogonal_projection(p, tol: float = DEFAULT_TOL_REL) -> tuple[bool, int | None]:

@@ -49,7 +49,7 @@ def _oracle_lambda_min(arr: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(arr)[0])
 
 
-def suite_eig_invariants(rng: np.random.Generator, trials: int = 1000) -> SuiteResult:
+def suite_eig_invariants(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Spectral decompositions reconstruct their input within tolerance."""
     failures = 0
     worst = 0.0
@@ -71,7 +71,7 @@ def suite_eig_invariants(rng: np.random.Generator, trials: int = 1000) -> SuiteR
     return SuiteResult("eig_invariants", trials, failures, {"worst_residual": worst})
 
 
-def suite_schur_product(rng: np.random.Generator, trials: int = 300) -> SuiteResult:
+def suite_schur_product(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Entrywise products of random PSD factors stay PSD."""
     failures = 0
     worst = math.inf
@@ -87,7 +87,7 @@ def suite_schur_product(rng: np.random.Generator, trials: int = 300) -> SuiteRes
     return SuiteResult("schur_product", trials, failures, {"worst_lambda_min": worst})
 
 
-def suite_quantitative_floor(rng: np.random.Generator, trials: int = 1000) -> SuiteResult:
+def suite_quantitative_floor(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Floor ordering lambda_min(A o B - (mu/kappa) diag(B)) >= -1e-8."""
     failures = 0
     worst = math.inf
@@ -112,7 +112,7 @@ def suite_quantitative_floor(rng: np.random.Generator, trials: int = 1000) -> Su
     return SuiteResult("quantitative_floor", trials, failures, {"worst_lambda_min": worst})
 
 
-def suite_projection_floor(rng: np.random.Generator, trials: int = 500) -> SuiteResult:
+def suite_projection_floor(rng: np.random.Generator, trials: int) -> SuiteResult:
     """C = A - mu I keeps C o P positive semidefinite for rank-r projections."""
     failures = 0
     worst = math.inf
@@ -130,7 +130,7 @@ def suite_projection_floor(rng: np.random.Generator, trials: int = 500) -> Suite
     return SuiteResult("projection_floor", trials, failures, {"worst_lambda_min": worst})
 
 
-def suite_indefinite_shift(rng: np.random.Generator, trials: int = 500) -> SuiteResult:
+def suite_indefinite_shift(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Full-fraction shifts stay certified and mostly produce indefinite C."""
     failures = 0
     indefinite = 0
@@ -170,7 +170,7 @@ def suite_indefinite_shift(rng: np.random.Generator, trials: int = 500) -> Suite
     )
 
 
-def suite_projection_split(rng: np.random.Generator, trials: int = 500) -> SuiteResult:
+def suite_projection_split(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Bordered projection splits satisfy their identities to 1e-8."""
     failures = 0
     worst = 0.0
@@ -205,7 +205,7 @@ def suite_projection_split(rng: np.random.Generator, trials: int = 500) -> Suite
     return SuiteResult("projection_split", trials, failures, {"worst_residual": worst})
 
 
-def suite_doa(rng: np.random.Generator, trials: int = 500) -> SuiteResult:
+def suite_doa(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Smoothing identity, bound ordering, and the rank identity."""
     failures = 0
     worst_identity = 0.0
@@ -233,7 +233,7 @@ def suite_doa(rng: np.random.Generator, trials: int = 500) -> SuiteResult:
     )
 
 
-def suite_cp(rng: np.random.Generator, trials: int = 300) -> SuiteResult:
+def suite_cp(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Moment matrix forms agree and certified floors hold when applicable."""
     failures = 0
     worst_identity = 0.0
@@ -292,7 +292,7 @@ def _mu_bruteforce(arr: np.ndarray, m: int) -> float:
     return best
 
 
-def suite_oracle_crosscheck(rng: np.random.Generator, trials: int = 200) -> SuiteResult:
+def suite_oracle_crosscheck(rng: np.random.Generator, trials: int) -> SuiteResult:
     """Fast paths agree with brute-force oracles on random inputs."""
     failures = 0
     for _ in range(trials):

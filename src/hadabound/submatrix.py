@@ -32,6 +32,7 @@ from .matcore import (
     classify_psd,
     eigvals_hermitian,
     finite_matrix,
+    least_positive,
     rank_numeric,
     require_psd,
     solved_once,
@@ -279,7 +280,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
 
     The levels are monotone: by interlacing, when every q-subset passes,
     so does every smaller subset. So the search starts at the numeric rank
-    r (on the Gram path, the count of full-Gram eigenvalues above tau). It
+    r (on the Gram path, rank_numeric of the full Gram). It
     probes level r + 1, which a generic input fails at its first subset,
     then scans level r whole, and walks up while the next level passes,
     otherwise down to the first level that passes. r is no upper bound on
@@ -303,11 +304,11 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         rank = rank_numeric(herm, tau_rel)
     else:
         arr, _ = _gram_scaled(arr)
-        gram_vals = eigvals_hermitian(arr.conj().T @ arr)
-        tau = tol_for(gram_vals[0], tau_rel)
+        gram = HermitianMatrix(arr.conj().T @ arr)
+        tau = tol_for(eigvals_hermitian(gram)[0], tau_rel)
         blocks = _gram_blocks(arr)
         threshold = lambda top: tau
-        rank = int(np.sum(gram_vals > tau))
+        rank = rank_numeric(gram, tau_rel)
 
     def independent(q: int, whole: bool = False) -> bool:
         question = _AnyDependent(threshold)
@@ -345,11 +346,10 @@ def floor_order(b, tau_rel: float, label: str) -> tuple[int, int, float]:
     solved once.
     """
     bm = require_psd(b, tau_rel, label)
-    rank = rank_numeric(bm, tau_rel)
+    rank, lam_r = least_positive(bm, tau_rel)
     if rank == 0:
         raise ZeroMatrixError(f"{label} is numerically zero")
-    vals = eigvals_hermitian(bm)
-    return rank, bm.n - rank + 1, float(vals[0] / vals[rank - 1])
+    return rank, bm.n - rank + 1, float(eigvals_hermitian(bm)[0] / lam_r)
 
 
 def effective_condition_number(b, tau_rel: float = DEFAULT_TOL_REL) -> float:

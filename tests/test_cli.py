@@ -226,6 +226,16 @@ class TestBoundCommand:
         assert code == 2
         assert "expected 2 data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cols", [4_000_000_000, 1_000_000_000_000])
+    def test_header_size_is_not_allocated(self, tmp_path, capsys, cols):
+        """A header claiming a huge matrix fails on its short row, not in an allocation."""
+        bad = tmp_path / "big.mtx"
+        bad.write_text(f"n 1 {cols} real\n1\n")
+        code = dispatch(["kruskal", "--a", str(bad)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {bad}:2:1: expected {cols} entries, found 1\n"
+
     def test_non_utf8_matrix_file_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_bytes(b"n 1 1 real\n\xff\n")
@@ -258,6 +268,14 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(f"error: {path}: {message}")
+
+    def test_projection_shape_error_names_the_file(self, tmp_path, capsys):
+        path = str(tmp_path / "p.mtx")
+        write_matrix(np.ones((2, 3)), path)
+        code = dispatch(["projection", "--c", fixture_path("indefinite_c.mtx"), "--p", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: expected a square matrix, got shape (2, 3)\n"
 
 
 class TestScalarCommands:
@@ -549,6 +567,14 @@ class TestScenarioCommands:
         code = dispatch(["cp-bound", "--scenario", str(path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_cp_without_factors(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"d": 0, "A_load": [[]], "B_load": [[]], "g": [[]]}))
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: need at least one factor\n"
 
     def test_malformed_json_carries_location(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -32,6 +32,7 @@ from hadabound.matcore import (
     eigvals_hermitian,
     hadamard,
     is_orthogonal_projection,
+    least_positive,
     rank_numeric,
     schur_complement,
     stack_eigvals,
@@ -258,6 +259,18 @@ class TestRankNumeric:
             f = rng.normal(size=(n, r))
             g = f @ f.T
             assert rank_numeric(g) == np.linalg.matrix_rank(g)
+
+
+class TestLeastPositive:
+    def test_zero_matrix(self):
+        assert least_positive(np.zeros((3, 3))) == (0, 0.0)
+
+    @pytest.mark.parametrize("k", [-200, -7, 0, 9, 200])
+    @pytest.mark.parametrize("a,rank", [(A, 2), (B, 2), (P, 2)], ids=["A", "B", "P"])
+    def test_rank_deficient_psd_and_its_power_of_two_scalings(self, a, rank, k):
+        r, lam = least_positive(a)
+        assert (r, lam) == (rank, eigvals_hermitian(a)[rank - 1])
+        assert least_positive(2.0**k * a) == (r, 2.0**k * lam)
 
 
 class TestIsOrthogonalProjection:

@@ -1,13 +1,16 @@
-"""Checks on the package source itself: its code-line count and its imports.
+"""Checks on the package source itself: its code-line count, its imports and its names.
 
 bench/loc.py counts the code lines that the project's records quote; the
 test here pins what it counts on a small synthetic module. The import
 guard stands in for a linter: a relative import whose name its module
-never uses fails.
+never uses fails. The public-name guard keeps the public API to what is
+used: a module-level public def, class or constant that no source, test,
+benchmark or README line names, apart from its own definition, fails.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,38 @@ def test_unused_import_guard_finds_an_unused_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_relative_import_is_used(module):
     assert unused_relative_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_public_names(source: str, elsewhere: str) -> list[str]:
+    """Public module-level names of source that neither elsewhere nor the rest of source names."""
+    lines = source.splitlines()
+    unnamed = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+        unnamed += [
+            name
+            for name in names
+            if not name.startswith("_") and not re.search(rf"\b{name}\b", rest + elsewhere)
+        ]
+    return unnamed
+
+
+def test_public_name_guard_finds_an_unnamed_name():
+    source = 'X = 1\nY = X\n\n\ndef f():\n    """f names itself here."""\n\n\nclass K:\n    pass\n'
+    assert unreferenced_public_names(source, "K()") == ["Y", "f"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_public_name_is_named_elsewhere(module):
+    own = PACKAGE / module
+    files = [p for d in ("src", "tests", "perfbench", "bench") for p in (ROOT / d).rglob("*.py")]
+    files = [p for p in [*files, ROOT / "README.md"] if p != own]
+    elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in files)
+    assert unreferenced_public_names(own.read_text(encoding="utf-8"), elsewhere) == []
