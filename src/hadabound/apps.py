@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, FormsDisagreeError, ZeroMatrixError
+from .errors import BudgetExceededError, DimensionError, FormsDisagreeError, ZeroMatrixError
 from .matcore import (
     DEFAULT_TOL_REL,
     HermitianMatrix,
@@ -82,6 +82,20 @@ class DoaScenario:
             raise DimensionError(f"covariance must be {self.K} x {self.K}, got {sig.n}")
         require_psd(sig, DEFAULT_TOL_REL, "source covariance")
         object.__setattr__(self, "sigma_s", sig)
+
+
+def _check_size(scenario: DoaScenario, budget: int) -> None:
+    """Refuse a scenario whose P x K steering block exceeds the budget.
+
+    The block has P K entries and the smoothing sum P terms, no more than
+    P K as K >= 1, so one check covers both before either is built.
+    """
+    size = scenario.P * scenario.K
+    if size > budget:
+        raise BudgetExceededError(
+            f"the P x K steering block, P = {scenario.P} by K = {scenario.K}, has {size} "
+            f"entries, which exceeds the budget of {budget}; raise the budget or reduce P"
+        )
 
 
 def build_steering(n: int, omega) -> np.ndarray:
@@ -148,7 +162,12 @@ class DoaBoundReport:
 def doa_bound(
     scenario: DoaScenario, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET
 ) -> DoaBoundReport:
-    """Certified floor for the smoothed covariance of the given scenario."""
+    """Certified floor for the smoothed covariance of the given scenario.
+
+    A scenario whose P x K steering block has more entries than budget is
+    refused with BudgetExceededError before anything is built.
+    """
+    _check_size(scenario, budget)
     r, m, kappa = floor_order(scenario.sigma_s, tau_rel, "source covariance")
     v = build_steering(scenario.P, scenario.omega)
     tilde = min_subset_singular_value(v, m, budget)
@@ -177,8 +196,10 @@ def rank_identity_check(
     """Steering Gram matrix has rank and Kruskal rank both equal to min(P, K).
 
     Holds for every choice of pairwise distinct frequencies; it is the
-    structural fact that makes the smoothing floor nonvacuous.
+    structural fact that makes the smoothing floor nonvacuous. The budget
+    bounds the steering block as in doa_bound.
     """
+    _check_size(scenario, budget)
     v = build_steering(scenario.P, scenario.omega)
     gram = HermitianMatrix(v.conj().T @ v)
     expected = min(scenario.P, scenario.K)

@@ -39,7 +39,7 @@ class FormsDisagreeError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A subset enumeration would exceed the configured budget."""
+    """A subset enumeration or a DOA steering block would exceed the configured budget."""
 
 
 class ConvergenceError(RuntimeError):

@@ -25,6 +25,12 @@ complex multiply may be fused and is then not symmetric in the last bit.
 A block whose squared norm would overflow or underflow is solved scaled
 by an exact power of two and scaled back.
 
+clears_floor answers one question without the eigensolver: is a block's
+exact lambda_min above a floor? A floating-point Cholesky of the block's
+real embedding, shifted by the floor and Rump's a-priori constant, proves
+it when it completes. It is plain numpy, vectorized across a stack, so
+LAPACK stays the tests' independent oracle.
+
 Results that depend on a matrix's content alone are solved once per
 content: a carrier's spectrum here, and the subset minimum mu of
 submatrix.min_submatrix_eigenvalue. One memo, keyed on the exact
@@ -317,14 +323,15 @@ def solved_once(kind: str, order: int, entries: np.ndarray, solve):
     return value
 
 
-def _rotate(pair: np.ndarray, coef: np.ndarray, prod: np.ndarray) -> None:
+def _rotate(pair: np.ndarray, coef: np.ndarray, prod: np.ndarray, halves) -> None:
     """Mix the two rows of a (2, n) view in place, through a (2, 2, n) scratch.
 
     Row i becomes coef[i, 0] * pair[0] + coef[i, 1] * pair[1]; coef is
     (2, 2, 1) and each coefficient is the left operand of its product.
+    halves is (prod[:, 0], prod[:, 1]), built once by the caller.
     """
     np.multiply(coef, pair, out=prod)
-    np.add(prod[:, 0], prod[:, 1], out=pair)
+    np.add(*halves, out=pair)
 
 
 def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
@@ -337,7 +344,9 @@ def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
 
     Columns p and q, then rows p and q, then v's columns p and q are each
     rotated in place through one strided (2, n) view: one multiply and one
-    add per pair. The result is bit-identical to assigning fresh products
+    add per pair, into views of one scratch built once per sweep. The
+    imaginary parts of the two diagonal entries are cleared through a view
+    of w.imag. The result is bit-identical to assigning fresh products
     of copies, c * x + (s * phase) * y, because every product keeps its
     operand order, the complex coefficient on the left. numpy's complex
     multiply may be fused (FMA) and is then not symmetric in the last bit:
@@ -347,12 +356,14 @@ def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
     """
     n = w.shape[0]
     prod = np.empty((2, 2, n), dtype=np.complex128)
+    halves = prod[:, 0], prod[:, 1]
     # The 2x2 coefficients of the column rotation, then of the row rotation.
     coef = np.empty(8, dtype=np.complex128)
     col_coef = coef[:4].reshape(2, 2, 1)
     row_coef = coef[4:].reshape(2, 2, 1)
     rows = list(w)
     wt = w.T
+    w_imag = w.imag
     vt = None if v is None else v.T
     for p in range(n - 1):
         row_p = rows[p]
@@ -375,17 +386,17 @@ def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
             coef[1] = s * phase_conj
             coef[2] = -s * phase
             pq = slice(p, q + 1, q - p)  # rows (or columns) p and q as one view
-            _rotate(wt[pq], col_coef, prod)
+            _rotate(wt[pq], col_coef, prod, halves)
             # Left multiply by its conjugate transpose: rows p and q mix.
             coef[5] = s * phase
             coef[6] = -s * phase_conj
-            _rotate(w[pq], row_coef, prod)
+            _rotate(w[pq], row_coef, prod, halves)
             w[p, q] = 0.0
             w[q, p] = 0.0
-            w[p, p] = w[p, p].real
-            w[q, q] = w[q, q].real
+            w_imag[p, p] = 0.0
+            w_imag[q, q] = 0.0
             if vt is not None:
-                _rotate(vt[pq], col_coef, prod)
+                _rotate(vt[pq], col_coef, prod, halves)
 
 
 def _frobenius(w: np.ndarray) -> np.ndarray:
@@ -409,7 +420,7 @@ def _off_mass(w: np.ndarray) -> np.ndarray:
     return _frobenius(off)
 
 
-def _bracket_margin(n: int) -> float:
+def bracket_margin(n: int) -> float:
     """Slack of a Weyl bracket, per unit of ||W||_F, for blocks of order n.
 
     At the start of a sweep, let d be a block's diagonal and e its computed
@@ -443,6 +454,22 @@ def _bracket_margin(n: int) -> float:
     orders a question sees (stack_eigvals solves n <= 2 in closed form).
     That covers the rounding of e and of the bracket arithmetic, and the
     drift of ||W||_F under the rotations.
+
+    The same terms bound a converged solve against the exact spectrum: for
+    a Hermitian block of order n >= 3 with its norm in NORM_BAND, which
+    _jacobi solves unscaled, every eigenvalue a converged solve returns
+    lies within margin * ||W||_F of the matching exact eigenvalue of W.
+    The returned diagonal is within JACOBI_OFF_REL ||W||_F of the final
+    iterate's eigenvalues, and those are the exact ones of W moved by the
+    rotations' backward errors, at most 64 eps ||W||_F each over at most
+    JACOBI_MAX_SWEEPS n(n-1)/2 rotations (Weyl, as above). The spare, at
+    least 38400 eps ||W||_F, covers the drift of ||W||_F and the rounding
+    of a computed ||W||_F and of a floor formed from it, as
+    submatrix._AnyDependent forms one. So a block whose exact lambda_min
+    is proved above threshold(U) + margin * ||W||_F, with U = (1 + margin)
+    ||W||_F a bound on every eigenvalue its solve can return, would come
+    out of the solve with lambda_min > threshold(lambda_max), for any
+    nondecreasing threshold.
     """
     return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
@@ -458,7 +485,7 @@ def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
     Returns each block's binary exponent e: block i was multiplied by 2^-e,
     and its entry of fro replaced by the new norm; e = 0 for a block left
     as it is. The band is where the iteration's arithmetic behaves as the
-    derivation of _bracket_margin assumes. For a block with
+    derivation of bracket_margin assumes. For a block with
     2^-400 <= ||W||_F <= 2^500, and eps the machine epsilon:
 
     - nothing overflows. Every sum of squares _frobenius forms, of the
@@ -500,6 +527,88 @@ def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
     parts[out] = np.ldexp(parts[out], -exp[out, None, None])
     fro[out] = _frobenius(w[out])
     return exp
+
+
+# The unit roundoff and the least positive subnormal double: clears_floor's constants.
+_UNIT_ROUNDOFF = 2.0**-53
+_LEAST_SUBNORMAL = 2.0**-1074
+
+
+def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
+    """Per block of a (k, m, m) Hermitian stack: True only if its exact lambda_min exceeds floor.
+
+    floor is one value or one per block; a negative one is taken as 0. A
+    block A is read as LAPACK reads it: the Hermitian B takes A's lower
+    triangle and the real part of its diagonal. Let E = [[Re B, -Im B],
+    [Im B, Re B]] be B's real embedding, of order N = 2m, which has each
+    eigenvalue of B twice; dev = ||A - A^*||_F, 0 for an exactly Hermitian
+    A; and
+
+        c = (N + 3) u (t + floor + dev + d) + 8 N (N + 3 + d) eta,
+
+    with t and d the sum and the largest of |E_ii|, u = 2^-53 the unit
+    roundoff and eta = 2^-1074 the least subnormal. The block is cleared
+    when a floating-point Cholesky of S = E - sigma I, sigma = floor + dev
+    + c, completes with positive pivots. Blocks of order at most 2, which
+    stack_eigvals solves in closed form, and blocks with a norm outside
+    NORM_BAND are never cleared. Plain numpy across the stack, no LAPACK.
+
+    Why success proves lambda_min(B) > floor + dev, after Rump
+    ("Verification of positive definiteness", BIT 46, 2006), whose
+    a-priori shift c bounds:
+
+    - Demmel's backward error of Cholesky (Higham, Accuracy and Stability
+      of Numerical Algorithms, Thm 10.3), for any order of the inner
+      products: the computed factor R satisfies R^T R = S + Delta with
+      |Delta| <= gamma_{N+1} |R^T| |R|. A product or quotient that
+      underflows adds at most eta / 2, so each entry of Delta gains at
+      most (N + 1 + max S_ii) eta. By Cauchy-Schwarz and
+      ||R e_i||^2 = S_ii + Delta_ii, ||Delta||_2 <= alpha tr(S) +
+      (1 + alpha) N (N + 1 + max S_ii) eta, alpha = gamma_{N+1} /
+      (1 - gamma_{N+1}) < (N + 1.01) u.
+    - R has a positive diagonal, so R^T R is positive definite and
+      lambda_min(S) > -||Delta||_2.
+    - Every pivot positive means 0 < S_ii = fl(E_ii - sigma) <= (1 + u)
+      E_ii, as sigma >= 0. S differs from E - sigma I by a diagonal of at
+      most u E_ii, and the computed sigma is below floor + dev + c by at
+      most 2u of it.
+
+    Together lambda_min(E) > floor + dev: c exceeds the sum of those terms
+    by nearly 2u t, which covers its own rounding. dev bounds, up to its
+    rounding, how far any other Hermitian reading of the block (its upper
+    triangle, its Hermitian part) moves an eigenvalue.
+    """
+    k, m = stack.shape[0], stack.shape[1]
+    if m <= 2 or k == 0:
+        return np.zeros(k, dtype=bool)
+    a = np.asarray(stack, dtype=np.complex128)
+    floor = np.maximum(np.broadcast_to(floor, (k,)), 0.0)
+    n = 2 * m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fro = _frobenius(a)
+        dev = _frobenius(a - a.conj().transpose(0, 2, 1))
+        # S as (N, N, k), the stack last so that each step is elementwise
+        # over it. Only the lower triangle is read: the strict upper
+        # triangle of each Re B block keeps Re of the given upper triangle.
+        s = np.zeros((n, n, k))
+        s[:m, :m] = s[m:, m:] = a.real.transpose(1, 2, 0)
+        im_lower = np.tril(a.imag, -1)
+        s[m:, :m] = (im_lower - im_lower.transpose(0, 2, 1)).transpose(1, 2, 0)
+        diag = s.reshape(n * n, k)[:: n + 1]  # a view of the (N, k) diagonals
+        d = np.abs(diag)
+        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + floor + dev + d.max(axis=0))
+        c += 8 * n * (n + 3 + d.max(axis=0)) * _LEAST_SUBNORMAL
+        diag -= floor + dev + c
+        # Right-looking: column j of the factor overwrites column j of S
+        # below the diagonal, and the diagonal is left holding the pivots. A
+        # pivot at or below zero turns the rest of its block into NaN or
+        # inf, whose pivots are not positive either.
+        for j in range(n - 1):
+            col = s[j + 1 :, j]
+            col /= np.sqrt(s[j, j])
+            s[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+        band = (fro >= NORM_BAND[0]) & (fro <= NORM_BAND[1])
+        return band & np.all(diag > 0.0, axis=0)
 
 
 def _hypot_one(x: np.ndarray) -> np.ndarray:
@@ -570,7 +679,7 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
     blocks may leave unfinished. question(d, h) gets each live block's
     diagonal d (k', n) and bracket half-width h (k'): every eigenvalue the
     block's converged solve would return lies within h of the matching
-    entry of sorted d (see _bracket_margin). A block converging at this
+    entry of sorted d (see bracket_margin). A block converging at this
     test has h = 0, so its bracket is its result. The question returns a
     boolean mask of the blocks that leave; their rows are NaN.
 
@@ -586,7 +695,7 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
         exp = _band_exponents(w, fro)
     off_tol = JACOBI_OFF_REL * fro
     skip_tol = off_tol / n
-    margin = _bracket_margin(n) * fro
+    margin = bracket_margin(n) * fro
     diag = np.full((k, n), np.nan)
     live = np.arange(k)
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -8,6 +8,14 @@ reported argmin subsets are deterministic. Each scan carries its question
 (which block is least, or is any block dependent) into the eigensolver,
 so a block leaves unfinished once its Weyl bracket answers it; the blocks
 the answer rests on are solved to convergence, so no result moves.
+
+A Kruskal level asks only whether every block's lambda_min clears its
+threshold, so its blocks are screened before the solve: a block that
+matcore.clears_floor proves to lie above the threshold by the solver's
+own error bound never reaches the eigensolver (see _AnyDependent.cleared).
+A converged solve of such a block would find it independent too, so every
+level's verdict, and with it every Kruskal rank, is the one a full solve
+gives. Minimum scans solve every block, as their answer is a value.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ from .matcore import (
     DEFAULT_TOL_REL,
     HermitianMatrix,
     as_hermitian,
+    bracket_margin,
     classify_psd,
+    clears_floor,
     eigvals_hermitian,
     finite_matrix,
     least_positive,
@@ -125,14 +135,35 @@ class _AnyDependent:
             return np.ones(len(d), dtype=bool)
         return low - h > self.threshold(top + h)
 
+    def cleared(self, stack: np.ndarray) -> np.ndarray:
+        """Blocks of a (k, m, m) stack proved independent before any solve.
 
-def _block_spectra(n: int, m: int, budget: int, blocks, question, *, whole: bool = False):
+        Each block W gets the floor threshold(U) + margin ||W||_F, with
+        margin = matcore.bracket_margin(m) and U = (1 + margin) ||W||_F,
+        which bounds every eigenvalue a converged solve of W can return. A
+        converged lambda_min lies within margin ||W||_F of the exact one
+        (the bridge in bracket_margin's docstring), so a block whose exact
+        lambda_min clears that floor (matcore.clears_floor) would leave the
+        solve with lambda_min > threshold(lambda_max): independent, as this
+        question finds it, and no bracket of it can settle the level.
+        """
+        with np.errstate(over="ignore"):
+            fro = np.linalg.norm(stack, axis=(1, 2))
+        slack = bracket_margin(stack.shape[1]) * fro
+        return clears_floor(stack, self.threshold(fro + slack) + slack)
+
+
+def _block_spectra(
+    n: int, m: int, budget: int, blocks, question, *, whole: bool = False, screen=None
+):
     """The one subset scan: (subset, eigenvalues) of each block the question kept, lazily.
 
     Subsets are drawn from iter_subsets in chunks, and blocks(idx) builds a
     chunk's (k, m, m) stack from its (k, m) index array; each stack is
     solved at once, and the question (see matcore._jacobi) lets the
-    blocks it needs no more leave unfinished. No chunk is drawn once the
+    blocks it needs no more leave unfinished. A screen, if given, maps a
+    stack to the mask of blocks the question needs no solve for; those are
+    dropped before the solve and yield nothing. No chunk is drawn once the
     question is settled. By default the chunks grow 1, 2, 4, ... up to
     SCAN_CHUNK_MAX, so a consumer that stops at the first subset has drawn
     and solved only that one. A scan that visits every subset anyway
@@ -142,6 +173,12 @@ def _block_spectra(n: int, m: int, budget: int, blocks, question, *, whole: bool
     size = SCAN_CHUNK_MAX if whole else 1
     while not question.settled and (chunk := list(itertools.islice(subsets, size))):
         stack = blocks(np.array(chunk))
+        size = min(2 * size, SCAN_CHUNK_MAX)
+        if screen is not None:
+            keep = ~screen(stack)
+            chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
+            if not chunk:
+                continue
         try:
             spectra = stack_eigvals(stack, question)
         except ConvergenceError:
@@ -150,7 +187,6 @@ def _block_spectra(n: int, m: int, budget: int, blocks, question, *, whole: bool
         for subset, vals in zip(chunk, spectra):
             if not np.isnan(vals[0]):
                 yield subset, vals
-        size = min(2 * size, SCAN_CHUNK_MAX)
 
 
 def _principal_blocks(entries: np.ndarray):
@@ -288,7 +324,9 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has numeric
     rank 1 and Kruskal rank 2. A level over the budget sends the search to
     the walk up from q = 1, so the budget trips only where that walk needs
-    a level over it.
+    a level over it. On either path a level's blocks pass the Cholesky
+    screen first (_AnyDependent.cleared), and only those it does not clear
+    are solved.
     """
     arr = finite_matrix(mat, square=False)
     n_cols = arr.shape[1]
@@ -315,8 +353,11 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         if psd and q == n_cols:  # the block is the matrix itself, already solved
             question(eigvals_hermitian(herm)[None], np.zeros(1))
         else:
-            for _ in _block_spectra(n_cols, q, budget, blocks, question, whole=whole):
-                pass  # the question reads every block
+            scan = _block_spectra(
+                n_cols, q, budget, blocks, question, whole=whole, screen=question.cleared
+            )
+            for _ in scan:
+                pass  # the question reads every block it did not clear
         return not question.settled
 
     def walk_up(q: int) -> int:

@@ -576,6 +576,32 @@ class TestScenarioCommands:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {path}: need at least one factor\n"
 
+    @pytest.mark.parametrize(
+        "doc,budget,named",
+        [
+            (
+                {"N": 10**12, "K": 1, "P": 10**12, "omega": [0.1], "sigma_s": [[1.0]]},
+                [],
+                "P = 1000000000000 by K = 1",
+            ),
+            (
+                {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": np.eye(2).tolist()},
+                ["--budget", "3"],
+                "P = 2 by K = 2",
+            ),
+        ],
+        ids=["oversized", "over a small budget"],
+    )
+    def test_doa_steering_block_over_the_budget(self, tmp_path, capsys, doc, budget, named):
+        """Refused before the steering block or the smoothing sum is built."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code = dispatch(["doa-bound", "--scenario", str(path), *budget])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: the P x K steering block, " + named)
+        assert "exceeds the budget" in captured.err and captured.err.count("\n") == 1
+
     def test_malformed_json_carries_location(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text('{"N": 4,\n x}')

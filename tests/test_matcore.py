@@ -693,6 +693,114 @@ class TestScalarSweepReference:
                 assert np.array_equal(bits, np.ascontiguousarray(y).view(np.uint64)), (kind, n)
 
 
+def lapack_least(block, uplo="L"):
+    return float(np.linalg.eigvalsh(block, UPLO=uplo)[0])
+
+
+class TestClearsFloor:
+    """The Cholesky screen against the LAPACK oracle: a cleared block lies above its floor."""
+
+    @staticmethod
+    def sound(stack, floor):
+        """clears_floor's mask, after checking every cleared block against eigvalsh."""
+        stack = np.asarray(stack, dtype=np.complex128)
+        floors = np.broadcast_to(np.asarray(floor, dtype=float), (len(stack),))
+        mask = matcore.clears_floor(stack, floors)
+        assert mask.dtype == bool and mask.shape == (len(stack),)
+        for block, f in zip(stack[mask], floors[mask]):
+            assert min(lapack_least(block, "L"), lapack_least(block, "U")) > f
+        return mask
+
+    @staticmethod
+    def blocks(rng, m, kind):
+        f = rng.normal(size=(m, m + 2)) + 1j * rng.normal(size=(m, m + 2))
+        if kind == "real":
+            f = f.real
+        if kind == "indefinite":
+            return (f @ f.conj().T - 2.0 * np.eye(m)).astype(np.complex128)
+        return (f @ f.conj().T).astype(np.complex128)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "indefinite"])
+    def test_seeded_blocks_around_their_least_eigenvalue(self, kind):
+        rng = np.random.default_rng(1500)
+        for m in range(3, 9):
+            stack = np.array([self.blocks(rng, m, kind) for _ in range(12)])
+            least = np.array([lapack_least(b) for b in stack])
+            for rel in (0.0, 2.0**-52, 1e-12, 1e-6):
+                assert not self.sound(stack, least + rel * np.abs(least)).any()
+            for rel in (2.0**-52, 1e-15, 1e-12, 1e-6):
+                self.sound(stack, least - rel * np.abs(least))
+            if kind != "indefinite":
+                # Well-conditioned blocks clear half their least eigenvalue.
+                assert self.sound(stack, 0.5 * least).all()
+
+    def test_generic_well_conditioned_blocks_clear(self):
+        rng = np.random.default_rng(1501)
+        for m in range(3, 12):
+            h = np.array([random_hermitian(rng, m) for _ in range(20)])
+            stack = np.eye(m) + 0.1 * h / np.linalg.norm(h, axis=(1, 2))[:, None, None]
+            assert self.sound(stack, 0.5).all()
+            assert self.sound(stack, 0.0).all()
+
+    def test_exact_ties_at_the_floor(self):
+        for m in range(3, 8):
+            assert not self.sound(np.eye(m)[None], 1.0).any()
+            assert self.sound(np.eye(m)[None], 0.999).all()
+            for f in (1e-3, 0.25, 2.0, 7.0):
+                block = np.diag(np.linspace(f, 9.0, m))[::-1, ::-1]
+                assert np.min(np.diag(block)) == f
+                assert not self.sound(block[None], f).any()
+                # A unitary similarity moves the tie by rounding only.
+                q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(m), m))
+                self.sound((q @ block @ q.conj().T)[None], f)
+
+    def test_rank_deficient_grams_and_repeated_columns(self):
+        rng = np.random.default_rng(1502)
+        for m in range(3, 9):
+            x = rng.normal(size=(m - 1, m)) + 1j * rng.normal(size=(m - 1, m))
+            y = rng.normal(size=(m + 3, m)) + 1j * rng.normal(size=(m + 3, m))
+            y[:, m - 1] = y[:, 0]
+            stack = np.array([x.conj().T @ x, y.conj().T @ y, x.real.T @ x.real])
+            for floor in (0.0, 1e-300, 1e-12):
+                assert not self.sound(stack, floor).any()
+
+    def test_near_hermitian_carriers(self):
+        rng = np.random.default_rng(1503)
+        for m in range(3, 9):
+            stack = []
+            for _ in range(8):
+                noise = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+                carrier = HermitianMatrix(self.blocks(rng, m, "complex") + 1e-13 * noise)
+                stack.append(carrier.entries)
+            stack = np.array(stack)
+            assert not np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+            least = np.array([min(lapack_least(b, "L"), lapack_least(b, "U")) for b in stack])
+            assert not self.sound(stack, least).any()
+            assert self.sound(stack, 0.5 * least).all()
+
+    @pytest.mark.parametrize("e", [300, -300])
+    def test_scaled_blocks(self, e):
+        rng = np.random.default_rng(1504)
+        stack = np.array([self.blocks(rng, 6, "complex") for _ in range(10)])
+        least = np.array([lapack_least(b) for b in stack])
+        scaled = np.ldexp(stack.view(float), e).view(np.complex128)
+        for floor in (least, 0.5 * least, least * (1.0 - 1e-9)):
+            assert np.array_equal(
+                self.sound(scaled, np.ldexp(floor, e)), self.sound(stack, floor)
+            )
+        assert self.sound(scaled, np.ldexp(0.5 * least, e)).all()
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_blocks_outside_the_norm_band_are_never_cleared(self, e):
+        stack = np.ldexp(np.eye(5), e)[None]
+        assert not matcore.clears_floor(stack, 0.0).any()
+
+    def test_orders_one_and_two_are_never_cleared(self):
+        for m in (1, 2):
+            assert not matcore.clears_floor(np.eye(m)[None], 0.0).any()
+        assert matcore.clears_floor(np.eye(3)[:0], 0.0).shape == (0,)
+
+
 def test_tol_for_is_relative_with_no_floor():
     assert tol_for(0.0) == 0.0
     assert tol_for(0.5) == 5e-10

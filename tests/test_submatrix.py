@@ -14,6 +14,7 @@ import pytest
 
 from hadabound import matcore, submatrix
 from hadabound.apps import DoaScenario, build_steering, doa_bound
+from hadabound.certify import nonsingularity_predicate
 from hadabound.errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -699,6 +700,97 @@ class TestEarlyLeave:
         value, subset = per_subset_mu(a, 6)
         assert subset in kept and repr(float(kept[subset][-1])) == repr(value)
         assert len(kept) < math.comb(10, 6)
+
+
+def screen_inputs(rng):
+    """Kruskal inputs of order at most 10 for both paths, the borderline ones included."""
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for n in (6, 8, 10):
+        for r in (n // 2, n // 2 + 1, n - 1, n):
+            f = cnormal(n, r)
+            yield f @ f.conj().T
+            yield f.real @ f.real.T
+            yield f.conj().T  # r x n: the Gram path
+        v = np.ones(n) / math.sqrt(n)
+        p = np.outer(v, v)
+        yield 3e3 * p + 2.5e-6 * (np.eye(n) - p)
+        h = cnormal(n, n)
+        yield (h + h.conj().T) / 2.0
+    for sign in (1.0, -1.0):
+        yield np.diag([1e3, sign * 1e-2])
+        yield np.diag([1e3, sign * 1e-2, 1.0, 3.0, 1e-2, 7.0])
+    for kind in KRUSKAL_KINDS:
+        for _ in range(6):
+            yield kruskal_input(rng, kind)
+
+
+class TestKruskalScreen:
+    """Blocks proved independent by matcore.clears_floor skip the solver; no verdict moves."""
+
+    @pytest.fixture
+    def cleared(self, monkeypatch):
+        """Blocks the screen clears, each checked against its own full solve."""
+        real = submatrix._AnyDependent.cleared
+        count = [0]
+
+        def checked(question, stack):
+            mask = real(question, stack)
+            for block in stack[mask]:
+                vals = stack_eigvals(block[None])[0]
+                assert vals[-1] > question.threshold(vals[0])  # independent when solved
+            count[0] += int(mask.sum())
+            return mask
+
+        monkeypatch.setattr(submatrix._AnyDependent, "cleared", checked)
+        return count
+
+    @staticmethod
+    def unscreened(monkeypatch, call):
+        """call() with the screen clearing no block."""
+        with monkeypatch.context() as patched:
+            patched.setattr(submatrix, "clears_floor", lambda stack, _: np.zeros(len(stack), bool))
+            return call()
+
+    def test_kruskal_rank_is_the_unscreened_one(self, monkeypatch, cleared):
+        for mat in screen_inputs(np.random.default_rng(900)):
+            assert kruskal_rank(mat) == self.unscreened(monkeypatch, lambda: kruskal_rank(mat))
+        assert cleared[0] > 1000
+
+    def test_nonsingularity_predicate_is_the_unscreened_one(self, monkeypatch, cleared):
+        rng = np.random.default_rng(901)
+        for n in (6, 8, 10):
+            shapes = ((n, n // 2 + 1), (n, n // 2))
+            f, g = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes)
+            pairs = [(f @ f.conj().T, g @ g.conj().T)]
+            v = np.ones(n) / math.sqrt(n)
+            p = np.outer(v, v)
+            pairs.append((3e3 * p + 2.5e-6 * (np.eye(n) - p), np.eye(n)))
+            for a, b in pairs:
+                got = nonsingularity_predicate(a, b)
+                want = self.unscreened(monkeypatch, lambda: nonsingularity_predicate(a, b))
+                assert repr(got) == repr(want)
+        assert cleared[0] > 0
+
+    @pytest.mark.parametrize("n,r", [(9, 4), (10, 5), (11, 6)])
+    def test_rank_level_sends_no_block_to_the_solver(self, monkeypatch, n, r):
+        matcore._MEMO.clear()  # an earlier test may hold this input's spectrum
+        real = matcore._jacobi
+        orders = []
+
+        def counting(w, v=None, question=None):
+            orders.extend([w.shape[1]] * len(w))  # one entry per block of the stack
+            return real(w, v, question)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        rng = np.random.default_rng(902 + n)
+        f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        for mat in (f @ f.conj().T, f.conj().T):
+            orders.clear()
+            assert kruskal_rank(mat) == r
+            # Level r + 1 fails at its first block; level r is cleared whole.
+            assert r not in orders and orders.count(r + 1) == 1
 
 
 class TestPinnedScans:
