@@ -704,6 +704,7 @@ class TestEarlyLeave:
 
 def screen_inputs(rng):
     """Kruskal inputs of order at most 10 for both paths, the borderline ones included."""
+
     def cnormal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
