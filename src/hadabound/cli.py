@@ -447,7 +447,8 @@ _COMMANDS = {
 _COMMON_OPTIONS = {
     "--tol": {"type": _tolerance, "default": DEFAULT_TOL_REL,
               "help": "relative tolerance in (0, 1)"},
-    "--budget": {"type": _count, "default": DEFAULT_BUDGET, "help": "subset budget"},
+    "--budget": {"type": _count, "default": DEFAULT_BUDGET,
+                 "help": "cap on subsets scanned and on doa-bound's P x K steering entries"},
     "--json": {"dest": "json_path", "default": None, "help": "write the report here"},
     "--timing": {"action": "store_true", "help": "include wall time in the report"},
 }

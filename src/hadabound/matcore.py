@@ -14,22 +14,23 @@ matrix (a carrier's spectrum, eig_hermitian) is a stack of one, the
 subset scans pass whole stacks. Thresholds, norms and convergence are per
 block, and a sweep over the stack is the single-matrix sweep vectorized
 across it, so each block's spectrum is bit-identical to its solve alone.
-A scan that asks only which block is least, whether any block is
-dependent, or a sign, passes a question that lets a block leave
-unfinished once its Weyl bracket (its diagonal, its off-diagonal mass and
-a derived rounding margin) settles it; the blocks the answer rests on run
-to convergence. The single-matrix sweep rotates each pair of rows or
-columns in place; the stack sweep assigns fresh products. Both keep every
-complex coefficient the left operand of its product, because numpy's
-complex multiply may be fused and is then not symmetric in the last bit.
-A block whose squared norm would overflow or underflow is solved scaled
-by an exact power of two and scaled back.
+Every block runs to convergence, so the solver is a pure function of its
+stack. The single-matrix sweep rotates each pair of rows or columns in
+place; the stack sweep assigns fresh products. Both keep every complex
+coefficient the left operand of its product, because numpy's complex
+multiply may be fused and is then not symmetric in the last bit. A block
+whose squared norm would overflow or underflow is solved scaled by an
+exact power of two and scaled back.
 
-clears_floor answers one question without the eigensolver: is a block's
-exact lambda_min above a floor? A floating-point Cholesky of the block's
-real embedding, shifted by the floor and Rump's a-priori constant, proves
-it when it completes. It is plain numpy, vectorized across a stack, so
-LAPACK stays the tests' independent oracle.
+Every decision that a block needs no solve goes through one stacked
+Cholesky kernel instead. least_pivots runs a floating-point Cholesky of
+each block's real embedding, shifted by a floor and Rump's a-priori
+constant, and returns its least pivot; clears_floor reads a positive one
+as a proof that the block's exact lambda_min lies above the floor. It is
+plain numpy, vectorized across a stack, so LAPACK stays the tests'
+independent oracle. bracket_margin bridges that proof to the converged
+solve: is_psd, the subset minimum scans and the Kruskal levels each drop
+a block only where its converged result could not change their answer.
 
 Results that depend on a matrix's content alone are solved once per
 content: a carrier's spectrum here, and the subset minimum mu of
@@ -37,8 +38,8 @@ submatrix.min_submatrix_eigenvalue. One memo, keyed on the exact
 complex128 bytes of the matrix and the order asked for, serves both
 across calls and carriers. The solver reads nothing but those bytes, so a
 hit returns the bits a fresh solve would. The keys it holds stay within
-MEMO_KEY_BYTES in total, the least recently used leaving first. Solves
-that carry a question, eig_hermitian and raised errors are not stored.
+MEMO_KEY_BYTES in total, the least recently used leaving first. is_psd's
+solve, eig_hermitian and raised errors are not stored.
 
 Each precondition on an input is decided in one function here:
 finite_matrix (2-D, nonempty, finite, and square unless asked otherwise),
@@ -94,9 +95,9 @@ def tol_for(scale, tau_rel: float = DEFAULT_TOL_REL):
     block dependent when it is within this of zero, with scale the norm of
     the matrix in question (its largest eigenvalue or entry). There is no
     absolute floor, so the rule is scale-free: tol_for(2^k s) is exactly
-    2^k tol_for(s) away from underflow and overflow. A negative scale,
-    such as a bracket end below zero, gives 0. The rule is nondecreasing
-    in scale, which the Weyl-bracket questions rely on.
+    2^k tol_for(s) away from underflow and overflow. A negative scale
+    gives 0. The rule is nondecreasing in scale, which the Kruskal screen
+    relies on (submatrix._AnyDependent.cleared).
     """
     return tau_rel * np.maximum(0.0, scale)
 
@@ -421,62 +422,43 @@ def _off_mass(w: np.ndarray) -> np.ndarray:
 
 
 def bracket_margin(n: int) -> float:
-    """Slack of a Weyl bracket, per unit of ||W||_F, for blocks of order n.
+    """Error bound of a converged solve, per unit of ||W||_F, for blocks of order n.
 
-    At the start of a sweep, let d be a block's diagonal and e its computed
-    off-diagonal mass. Every eigenvalue its solve returns at convergence
-    lies within e + margin * ||W||_F of the matching entry of sorted d,
-    where ||W||_F is the block's norm at the start of the solve and eps is
-    the machine epsilon. The margin is the sum of:
+    For a Hermitian block W of order n >= 3 with its norm in NORM_BAND,
+    which _jacobi solves unscaled, every eigenvalue a converged solve
+    returns lies within margin * ||W||_F of the matching exact eigenvalue
+    of W, with eps the machine epsilon. The margin is the sum of:
 
-    - e itself is a rounded sum of n^2 squares and a square root, within
-      (n^2 + 1) eps of the true off-diagonal mass; by Weyl's inequality
-      the current block's eigenvalues lie within the true mass of sorted d;
-    - every rotation still to come is backward stable: the computed update
-      of the two columns and then the two rows, with the annihilated pair
-      and the imaginary diagonal parts set to zero, is an exact unitary
-      similarity of W + Delta with ||Delta||_F below 64 eps ||W||_F (a few
-      units of roundoff per one-sided real plane rotation, Higham, Accuracy
-      and Stability of Numerical Algorithms, ch. 19, doubled for complex
-      arithmetic and again for the two sides). By Weyl, each moves an
-      eigenvalue by at most that much. A solve that returns at all runs at
-      most JACOBI_MAX_SWEEPS sweeps of n(n-1)/2 rotations;
     - at convergence the off-diagonal mass is at most JACOBI_OFF_REL
       ||W||_F, so the returned diagonal lies within that of the final
-      iterate's eigenvalues (Weyl again; Demmel and Veselic, "Jacobi's
-      method is more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4),
-      1992, bound the converged eigenvalues the same way);
-    - forming d - e - margin, d + e + margin and e + margin rounds three
-      times, each by at most eps times 3 ||W||_F.
+      iterate's eigenvalues (Weyl's inequality; Demmel and Veselic,
+      "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal.
+      Appl. 13(4), 1992, bound the converged eigenvalues the same way);
+    - every rotation is backward stable: the computed update of the two
+      columns and then the two rows, with the annihilated pair and the
+      imaginary diagonal parts set to zero, is an exact unitary similarity
+      of W + Delta with ||Delta||_F below 64 eps ||W||_F (a few units of
+      roundoff per one-sided real plane rotation, Higham, Accuracy and
+      Stability of Numerical Algorithms, ch. 19, doubled for complex
+      arithmetic and again for the two sides). By Weyl, each moves an
+      eigenvalue by at most that much. A solve that returns at all runs at
+      most JACOBI_MAX_SWEEPS sweeps of n(n-1)/2 rotations.
 
     Counting n^2 rotations per sweep instead of n(n-1)/2 leaves
-    64 JACOBI_MAX_SWEEPS n(n+1)/2 eps spare, at least 38400 eps at the
-    orders a question sees (stack_eigvals solves n <= 2 in closed form).
-    That covers the rounding of e and of the bracket arithmetic, and the
-    drift of ||W||_F under the rotations.
-
-    The same terms bound a converged solve against the exact spectrum: for
-    a Hermitian block of order n >= 3 with its norm in NORM_BAND, which
-    _jacobi solves unscaled, every eigenvalue a converged solve returns
-    lies within margin * ||W||_F of the matching exact eigenvalue of W.
-    The returned diagonal is within JACOBI_OFF_REL ||W||_F of the final
-    iterate's eigenvalues, and those are the exact ones of W moved by the
-    rotations' backward errors, at most 64 eps ||W||_F each over at most
-    JACOBI_MAX_SWEEPS n(n-1)/2 rotations (Weyl, as above). The spare, at
-    least 38400 eps ||W||_F, covers the drift of ||W||_F and the rounding
-    of a computed ||W||_F and of a floor formed from it, as
-    submatrix._AnyDependent forms one. So a block whose exact lambda_min
-    is proved above threshold(U) + margin * ||W||_F, with U = (1 + margin)
-    ||W||_F a bound on every eigenvalue its solve can return, would come
-    out of the solve with lambda_min > threshold(lambda_max), for any
-    nondecreasing threshold.
+    64 JACOBI_MAX_SWEEPS n(n+1)/2 eps ||W||_F spare, at least 38400 eps
+    ||W||_F at n >= 3 (stack_eigvals solves n <= 2 in closed form). It
+    covers the drift of ||W||_F under the rotations and the rounding of a
+    computed ||W||_F and of a floor formed from it. So a block whose exact
+    lambda_min clears_floor proves above f + margin * ||W||_F comes out of
+    a converged solve with lambda_min > f. Taking f = threshold(U) for a
+    nondecreasing threshold, with U = (1 + margin) ||W||_F a bound on
+    every eigenvalue the solve can return, the converged lambda_min
+    exceeds threshold(lambda_max).
     """
     return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
 
 NORM_BAND = (2.0**-400, 2.0**500)
-# Added to a scaled-back bracket half-width; see _band_exponents.
-_SUBNORMAL_SLACK = 2.0**-1072
 
 
 def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
@@ -513,11 +495,7 @@ def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
     scales exactly, so the scaled solve returns 2^-e times the block's
     eigenvalues with the accuracy of an in-band solve, and the caller
     multiplies by 2^e. That is exact too, unless the result falls below
-    2^-1022, where it rounds by at most 2^-1075. The bracket a question
-    sees rounds that way at most four times (d and h scaled back, h plus
-    the slack, d +- h), so _SUBNORMAL_SLACK = 2^-1072 is added to the
-    half-width of a scaled block; for a normal result the margin's own
-    rounding allowance already covers these roundings.
+    2^-1022, where it rounds by at most 2^-1075.
     """
     low, high = NORM_BAND
     out = ~((fro >= low) & (fro <= high))
@@ -532,6 +510,51 @@ def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
 # The unit roundoff and the least positive subnormal double: clears_floor's constants.
 _UNIT_ROUNDOFF = 2.0**-53
 _LEAST_SUBNORMAL = 2.0**-1074
+
+
+def least_pivots(stack: np.ndarray, floor) -> np.ndarray:
+    """Per block of a (k, m, m) Hermitian stack: the least pivot of clears_floor's Cholesky.
+
+    A NaN pivot (the rest of a block after a pivot at or below zero) reads
+    as -inf, and so does every pivot of a block that clears_floor never
+    clears: one of order at most 2, or with a norm outside NORM_BAND. Each
+    pivot is a diagonal entry of a Schur complement of S = E - sigma I, so
+    it is at least lambda_min(S): at floor 0 the block with the least pivot
+    is a guess at the block with the least lambda_min.
+    """
+    k, m = stack.shape[0], stack.shape[1]
+    if m <= 2 or k == 0:
+        return np.full(k, -np.inf)
+    a = np.asarray(stack, dtype=np.complex128)
+    floor = np.maximum(np.broadcast_to(floor, (k,)), 0.0)
+    n = 2 * m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fro = _frobenius(a)
+        dev = _frobenius(a - a.conj().transpose(0, 2, 1))
+        # S as (N, N, k), the stack last so that each step is elementwise
+        # over it. Only the lower triangle is read: the strict upper
+        # triangle of each Re B block keeps Re of the given upper triangle.
+        s = np.zeros((n, n, k))
+        s[:m, :m] = s[m:, m:] = a.real.transpose(1, 2, 0)
+        im_lower = np.tril(a.imag, -1)
+        s[m:, :m] = (im_lower - im_lower.transpose(0, 2, 1)).transpose(1, 2, 0)
+        diag = s.reshape(n * n, k)[:: n + 1]  # a view of the (N, k) diagonals
+        d = np.abs(diag)
+        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + floor + dev + d.max(axis=0))
+        c += 8 * n * (n + 3 + d.max(axis=0)) * _LEAST_SUBNORMAL
+        diag -= floor + dev + c
+        # Right-looking: column j of the factor overwrites column j of S
+        # below the diagonal, and the diagonal is left holding the pivots. A
+        # pivot at or below zero turns the rest of its block into NaN or
+        # inf, whose pivots are not positive either.
+        for j in range(n - 1):
+            col = s[j + 1 :, j]
+            col /= np.sqrt(s[j, j])
+            s[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+        least = diag.min(axis=0)
+        band = (fro >= NORM_BAND[0]) & (fro <= NORM_BAND[1])
+        least[np.isnan(least) | ~band] = -np.inf
+        return least
 
 
 def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
@@ -549,7 +572,7 @@ def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
     with t and d the sum and the largest of |E_ii|, u = 2^-53 the unit
     roundoff and eta = 2^-1074 the least subnormal. The block is cleared
     when a floating-point Cholesky of S = E - sigma I, sigma = floor + dev
-    + c, completes with positive pivots. Blocks of order at most 2, which
+    + c, completes with positive pivots (least_pivots). Blocks of order at most 2, which
     stack_eigvals solves in closed form, and blocks with a norm outside
     NORM_BAND are never cleared. Plain numpy across the stack, no LAPACK.
 
@@ -578,37 +601,7 @@ def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
     rounding, how far any other Hermitian reading of the block (its upper
     triangle, its Hermitian part) moves an eigenvalue.
     """
-    k, m = stack.shape[0], stack.shape[1]
-    if m <= 2 or k == 0:
-        return np.zeros(k, dtype=bool)
-    a = np.asarray(stack, dtype=np.complex128)
-    floor = np.maximum(np.broadcast_to(floor, (k,)), 0.0)
-    n = 2 * m
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fro = _frobenius(a)
-        dev = _frobenius(a - a.conj().transpose(0, 2, 1))
-        # S as (N, N, k), the stack last so that each step is elementwise
-        # over it. Only the lower triangle is read: the strict upper
-        # triangle of each Re B block keeps Re of the given upper triangle.
-        s = np.zeros((n, n, k))
-        s[:m, :m] = s[m:, m:] = a.real.transpose(1, 2, 0)
-        im_lower = np.tril(a.imag, -1)
-        s[m:, :m] = (im_lower - im_lower.transpose(0, 2, 1)).transpose(1, 2, 0)
-        diag = s.reshape(n * n, k)[:: n + 1]  # a view of the (N, k) diagonals
-        d = np.abs(diag)
-        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + floor + dev + d.max(axis=0))
-        c += 8 * n * (n + 3 + d.max(axis=0)) * _LEAST_SUBNORMAL
-        diag -= floor + dev + c
-        # Right-looking: column j of the factor overwrites column j of S
-        # below the diagonal, and the diagonal is left holding the pivots. A
-        # pivot at or below zero turns the rest of its block into NaN or
-        # inf, whose pivots are not positive either.
-        for j in range(n - 1):
-            col = s[j + 1 :, j]
-            col /= np.sqrt(s[j, j])
-            s[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
-        band = (fro >= NORM_BAND[0]) & (fro <= NORM_BAND[1])
-        return band & np.all(diag > 0.0, axis=0)
+    return least_pivots(stack, floor) > 0.0
 
 
 def _hypot_one(x: np.ndarray) -> np.ndarray:
@@ -663,7 +656,7 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
             w[sel, q, q] = w[sel, q, q].real
 
 
-def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.ndarray:
+def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """The cyclic Jacobi iteration on a (k, n, n) complex128 stack, in place.
 
     Returns each block's diagonal at convergence, unsorted. A block has
@@ -675,17 +668,8 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
     of one. Both sweeps are the same steps per block, so a block's result
     does not depend on the stack it came in.
 
-    A question, if given, is asked at the start of every sweep which live
-    blocks may leave unfinished. question(d, h) gets each live block's
-    diagonal d (k', n) and bracket half-width h (k'): every eigenvalue the
-    block's converged solve would return lies within h of the matching
-    entry of sorted d (see bracket_margin). A block converging at this
-    test has h = 0, so its bracket is its result. The question returns a
-    boolean mask of the blocks that leave; their rows are NaN.
-
     A block whose norm lies outside NORM_BAND is solved scaled by a power
-    of two (see _band_exponents); its diagonal, and the d and h its
-    question sees, are scaled back.
+    of two (see _band_exponents), and its diagonal is scaled back.
     """
     k, n = w.shape[0], w.shape[1]
     with np.errstate(over="ignore"):
@@ -695,27 +679,16 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
         exp = _band_exponents(w, fro)
     off_tol = JACOBI_OFF_REL * fro
     skip_tol = off_tol / n
-    margin = bracket_margin(n) * fro
-    diag = np.full((k, n), np.nan)
+    diag = np.empty((k, n))
     live = np.arange(k)
     for _ in range(JACOBI_MAX_SWEEPS):
-        mass = _off_mass(w)
-        done = out = mass <= off_tol
-        if question is not None:
-            d = w.diagonal(axis1=1, axis2=2).real
-            h = np.where(done, 0.0, mass + margin)
-            if exp is not None:
-                e = exp[live]
-                d = np.ldexp(d, e[:, None])
-                h = np.ldexp(h, e) + np.where(done | (e == 0), 0.0, _SUBNORMAL_SLACK)
-            out = done | question(d, h)
-        if out.any():
+        done = _off_mass(w) <= off_tol
+        if done.any():
             diag[live[done]] = w[done].diagonal(axis1=1, axis2=2).real
-            if out.all():
+            if done.all():
                 return diag if exp is None else np.ldexp(diag, exp[:, None])
-            keep = ~out
+            keep = ~done
             w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
-            margin = margin[keep]
         if live.size == 1:
             _scalar_sweep(w[0], float(skip_tol[0]), v)
         else:
@@ -725,34 +698,28 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None, question=None) -> np.nda
     )
 
 
-def stack_eigvals(blocks: np.ndarray, question=None) -> np.ndarray:
+def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
     """Eigenvalues of each block of a (k, m, m) Hermitian stack; row i non-increasing.
 
     For arrays already known to be Hermitian: a carrier's entries (a stack
     of one), its principal blocks and Gram matrices of its columns; nothing
     is validated. Orders 1 and 2 use closed forms across the stack, larger
     orders the Jacobi iteration, so row i does not depend on the stack it
-    came in. A question (see _jacobi) may let blocks leave unfinished;
-    their rows are NaN. It sees every block, the closed forms as finished
-    ones.
+    came in. Every block is solved to convergence.
     """
     k, n = blocks.shape[0], blocks.shape[1]
     if n > 2:
-        diag = _jacobi(np.array(blocks, dtype=np.complex128), question=question)
+        diag = _jacobi(np.array(blocks, dtype=np.complex128))
         return np.sort(diag, axis=1)[:, ::-1].copy()
     if n == 1:
-        vals = np.array(blocks[:, 0].real, dtype=np.float64)
-    else:
-        a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
-        off = blocks[:, 0, 1]
-        mid = 0.5 * (a + d)
-        # |w_01| is np.hypot of its parts; math.hypot rounds differently.
-        half, mod = (0.5 * (a - d)).tolist(), np.hypot(off.real, off.imag).tolist()
-        rad = np.fromiter(map(math.hypot, half, mod), float, k)
-        vals = np.array([mid + rad, mid - rad]).T.copy()
-    if question is not None:
-        question(vals, np.zeros(k))
-    return vals
+        return np.array(blocks[:, 0].real, dtype=np.float64)
+    a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
+    off = blocks[:, 0, 1]
+    mid = 0.5 * (a + d)
+    # |w_01| is np.hypot of its parts; math.hypot rounds differently.
+    half, mod = (0.5 * (a - d)).tolist(), np.hypot(off.real, off.imag).tolist()
+    rad = np.fromiter(map(math.hypot, half, mod), float, k)
+    return np.array([mid + rad, mid - rad]).T.copy()
 
 
 def eigvals_hermitian(a) -> np.ndarray:
@@ -824,39 +791,23 @@ def require_psd(a, tau_rel: float, label: str) -> HermitianMatrix:
     return am
 
 
-class _PsdSign:
-    """The question of is_psd: classify_psd's verdict, from a Weyl bracket.
-
-    The matrix is PSD when lambda_min >= -tol_for(lambda_max). tol_for is
-    nondecreasing (it clamps a negative bracket end to a zero threshold),
-    so the lower lambda_min bracket clearing the threshold
-    of the lower lambda_max bracket settles True, and the upper lambda_min
-    bracket below the threshold of the upper lambda_max bracket settles
-    False. The one block then leaves.
-    """
-
-    def __init__(self, tau_rel: float):
-        self.tau_rel = tau_rel
-        self.psd = None
-
-    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
-        low, top, half = float(d[0].min()), float(d[0].max()), float(h[0])
-        if low - half >= -tol_for(top - half, self.tau_rel):
-            self.psd = True
-        elif low + half < -tol_for(top + half, self.tau_rel):
-            self.psd = False
-        return np.array([self.psd is not None])
-
-
 def is_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> bool:
-    """classify_psd(a, tau_rel).is_psd, from a solve that stops once it is settled.
+    """classify_psd(a, tau_rel).is_psd, with no solve where clears_floor proves it.
 
     For a matrix whose spectrum nothing else reads: the carrier's cached
-    spectrum is neither read nor filled.
+    spectrum is neither read nor filled. A matrix M whose exact lambda_min
+    clears_floor proves above bracket_margin(n) ||M||_F would come out of
+    a converged solve with a positive lambda_min (the bridge in
+    bracket_margin's docstring), so it is PSD by classify_psd's rule. Any
+    other matrix is solved to convergence and judged by that rule.
     """
-    sign = _PsdSign(tau_rel)
-    stack_eigvals(as_hermitian(a).entries[None], sign)
-    return sign.psd
+    stack = as_hermitian(a).entries[None]
+    with np.errstate(over="ignore"):
+        slack = bracket_margin(stack.shape[1]) * _frobenius(stack)
+    if clears_floor(stack, slack)[0]:
+        return True
+    vals = stack_eigvals(stack)[0]
+    return bool(vals[-1] >= -tol_for(vals[0], tau_rel))
 
 
 def rank_numeric(a, tau_rel: float = DEFAULT_TOL_REL) -> int:

@@ -4,18 +4,18 @@ Minimum submatrix eigenvalues, Kruskal rank, the effective condition
 number (largest positive eigenvalue over smallest positive eigenvalue),
 the floor order and subset singular-value minima. All subset scans share
 one lexicographic kernel under a hard enumeration budget, so results and
-reported argmin subsets are deterministic. Each scan carries its question
-(which block is least, or is any block dependent) into the eigensolver,
-so a block leaves unfinished once its Weyl bracket answers it; the blocks
-the answer rests on are solved to convergence, so no result moves.
+reported argmin subsets are deterministic. Every block a scan solves runs
+to convergence; a screen decides before the solve which blocks need none,
+through the one Cholesky kernel, matcore.clears_floor.
 
-A Kruskal level asks only whether every block's lambda_min clears its
-threshold, so its blocks are screened before the solve: a block that
-matcore.clears_floor proves to lie above the threshold by the solver's
-own error bound never reaches the eigensolver (see _AnyDependent.cleared).
-A converged solve of such a block would find it independent too, so every
-level's verdict, and with it every Kruskal rank, is the one a full solve
-gives. Minimum scans solve every block, as their answer is a value.
+A minimum scan solves one block of each chunk first, its incumbent, and
+drops every block that clears_floor proves above the least value so far
+by the solver's own error bound (see _least_block). A Kruskal level asks
+only whether every block's lambda_min clears its threshold, so it drops
+every block proved above the threshold by that bound (see
+_AnyDependent.cleared). A converged solve of a dropped block would
+neither reach the minimum nor find the block dependent, so every value,
+argmin and Kruskal rank is the one a scan that solves every block gives.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .matcore import (
     clears_floor,
     eigvals_hermitian,
     finite_matrix,
+    least_pivots,
     least_positive,
     rank_numeric,
     require_psd,
@@ -90,50 +91,19 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
     return HermitianMatrix((block + block.conj().T) / 2.0)
 
 
-class _Least:
-    """The question of a minimum scan: which block's lambda_min is least?
-
-    best is the least upper bracket of lambda_min, or finished value, seen
-    so far, across chunks. A block whose lower bracket lies above it
-    cannot be the minimum or tie with it, so it leaves. The blocks kept run
-    to convergence, so the least value and its first argmin are those of
-    a scan that solves every block.
-    """
-
-    settled = False
-
-    def __init__(self):
-        self.best = math.inf
-
-    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
-        low = d.min(axis=1)
-        # A NaN bracket would make the minimum NaN; min keeps the old best then.
-        self.best = min(self.best, float(np.min(low + h)))
-        return low - h > self.best
-
-
 class _AnyDependent:
-    """The question of a Kruskal level: is any block dependent?
+    """The rule of a Kruskal level: a block is dependent when lambda_min <= threshold(lambda_max).
 
-    A block is dependent when its lambda_min is at most threshold(its
-    lambda_max); threshold is nondecreasing, so a decision taken at the
-    worst end of both brackets holds for every value inside them. A block
-    leaves as independent once its lower lambda_min bracket clears the
-    threshold of its upper lambda_max bracket. Once a block's upper
-    lambda_min bracket is at most the threshold of its lower lambda_max
-    bracket, the level is settled: every block leaves and the scan stops.
+    threshold is nondecreasing, so a bound on lambda_max bounds the
+    threshold too, which lets cleared judge a block before its solve.
     """
 
     def __init__(self, threshold):
         self.threshold = threshold
-        self.settled = False
 
-    def __call__(self, d: np.ndarray, h: np.ndarray) -> np.ndarray:
-        low, top = d.min(axis=1), d.max(axis=1)
-        self.settled = self.settled or bool(np.any(low + h <= self.threshold(top - h)))
-        if self.settled:
-            return np.ones(len(d), dtype=bool)
-        return low - h > self.threshold(top + h)
+    def dependent(self, vals: np.ndarray) -> bool:
+        """Whether a block with the converged non-increasing spectrum vals is dependent."""
+        return bool(vals[-1] <= self.threshold(vals[0]))
 
     def cleared(self, stack: np.ndarray) -> np.ndarray:
         """Blocks of a (k, m, m) stack proved independent before any solve.
@@ -144,8 +114,8 @@ class _AnyDependent:
         converged lambda_min lies within margin ||W||_F of the exact one
         (the bridge in bracket_margin's docstring), so a block whose exact
         lambda_min clears that floor (matcore.clears_floor) would leave the
-        solve with lambda_min > threshold(lambda_max): independent, as this
-        question finds it, and no bracket of it can settle the level.
+        solve with lambda_min > threshold(lambda_max): independent, as
+        dependent finds it.
         """
         with np.errstate(over="ignore"):
             fro = np.linalg.norm(stack, axis=(1, 2))
@@ -153,40 +123,77 @@ class _AnyDependent:
         return clears_floor(stack, self.threshold(fro + slack) + slack)
 
 
-def _block_spectra(
-    n: int, m: int, budget: int, blocks, question, *, whole: bool = False, screen=None
-):
-    """The one subset scan: (subset, eigenvalues) of each block the question kept, lazily.
+def _block_spectra(n: int, m: int, budget: int, blocks, *, whole: bool = False, screen=None):
+    """The one subset scan: (subset, eigenvalues) of each block it solves, lazily.
 
     Subsets are drawn from iter_subsets in chunks, and blocks(idx) builds a
-    chunk's (k, m, m) stack from its (k, m) index array; each stack is
-    solved at once, and the question (see matcore._jacobi) lets the
-    blocks it needs no more leave unfinished. A screen, if given, maps a
-    stack to the mask of blocks the question needs no solve for; those are
-    dropped before the solve and yield nothing. No chunk is drawn once the
-    question is settled. By default the chunks grow 1, 2, 4, ... up to
-    SCAN_CHUNK_MAX, so a consumer that stops at the first subset has drawn
-    and solved only that one. A scan that visits every subset anyway
-    passes whole=True and draws SCAN_CHUNK_MAX subsets from the first.
+    chunk's (k, m, m) stack from its (k, m) index array. A screen, if
+    given, maps a chunk (its list of subsets) and its stack to the mask of
+    blocks that need no solve; those are dropped and yield nothing. The
+    rest of the stack is solved at once, to convergence. A chunk is drawn
+    only when the consumer asks past the last one. By default the chunks
+    grow 1, 2, 4, ... up to SCAN_CHUNK_MAX, so a consumer that stops at the
+    first subset has drawn and solved only that one. A scan that visits
+    every subset anyway passes whole=True and draws SCAN_CHUNK_MAX subsets
+    from the first.
     """
     subsets = iter_subsets(n, m, budget)
     size = SCAN_CHUNK_MAX if whole else 1
-    while not question.settled and (chunk := list(itertools.islice(subsets, size))):
+    while chunk := list(itertools.islice(subsets, size)):
         stack = blocks(np.array(chunk))
         size = min(2 * size, SCAN_CHUNK_MAX)
         if screen is not None:
-            keep = ~screen(stack)
+            keep = ~screen(chunk, stack)
             chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
             if not chunk:
                 continue
         try:
-            spectra = stack_eigvals(stack, question)
+            spectra = stack_eigvals(stack)
         except ConvergenceError:
             # Solve one by one, so the blocks before the failing one still come out.
-            spectra = (stack_eigvals(block[None], question)[0] for block in stack)
-        for subset, vals in zip(chunk, spectra):
-            if not np.isnan(vals[0]):
-                yield subset, vals
+            spectra = (stack_eigvals(block[None])[0] for block in stack)
+        yield from zip(chunk, spectra)
+
+
+def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int, ...]]:
+    """(least lambda_min, its lexicographically first subset) over all C(n, m) blocks.
+
+    best, the least (value, subset) solved so far, is carried across
+    chunks, so equal values keep the first subset. Each chunk is screened
+    before its solve:
+
+    - its first block with the least Cholesky pivot at floor 0
+      (matcore.least_pivots), a guess at its argmin, is solved alone and
+      taken into best, the incumbent;
+    - every block that clears_floor proves above best + margin ||W||_F,
+      margin = matcore.bracket_margin(m), is dropped: by the bridge in
+      bracket_margin's docstring a converged solve would return a value
+      above best, neither the minimum nor a tie with it;
+    - the rest are solved. A chunk of one block, or one with no positive
+      pivot (every block within rounding of singular, as when the matrix's
+      rank is below m), is solved whole.
+    """
+    best = (math.inf, ())
+
+    def screen(chunk, stack):
+        nonlocal best
+        drop = np.zeros(len(chunk), dtype=bool)
+        if len(chunk) == 1:
+            return drop
+        pivots = least_pivots(stack, 0.0)
+        if not np.any(pivots > 0.0):
+            return drop
+        i = int(np.argmin(pivots))
+        best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
+        with np.errstate(over="ignore"):
+            fro = np.linalg.norm(stack, axis=(1, 2))
+        drop = clears_floor(stack, best[0] + bracket_margin(m) * fro)
+        drop[i] = True
+        return drop
+
+    for subset, vals in _block_spectra(n, m, budget, blocks, whole=True, screen=screen):
+        best = min(best, (float(vals[-1]), subset))
+    return best
 
 
 def _principal_blocks(entries: np.ndarray):
@@ -279,12 +286,8 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
     _check_budget(n, m, budget)
 
     def scan() -> MinSubmatrixResult:
-        # min keeps the first of equal keys: the lexicographically first argmin.
-        subset, vals = min(
-            _block_spectra(n, m, budget, _principal_blocks(am.entries), _Least(), whole=True),
-            key=lambda item: item[1][-1],
-        )
-        return MinSubmatrixResult(float(vals[-1]), subset, m)
+        value, subset = _least_block(n, m, budget, _principal_blocks(am.entries))
+        return MinSubmatrixResult(value, subset, m)
 
     return solved_once("mu", m, am.entries, scan)
 
@@ -326,7 +329,8 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     the walk up from q = 1, so the budget trips only where that walk needs
     a level over it. On either path a level's blocks pass the Cholesky
     screen first (_AnyDependent.cleared), and only those it does not clear
-    are solved.
+    are solved, each to convergence; a level draws no chunk after its
+    first dependent block.
     """
     arr = finite_matrix(mat, square=False)
     n_cols = arr.shape[1]
@@ -349,16 +353,15 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         rank = rank_numeric(gram, tau_rel)
 
     def independent(q: int, whole: bool = False) -> bool:
-        question = _AnyDependent(threshold)
+        level = _AnyDependent(threshold)
         if psd and q == n_cols:  # the block is the matrix itself, already solved
-            question(eigvals_hermitian(herm)[None], np.zeros(1))
+            spectra = [eigvals_hermitian(herm)]
         else:
-            scan = _block_spectra(
-                n_cols, q, budget, blocks, question, whole=whole, screen=question.cleared
-            )
-            for _ in scan:
-                pass  # the question reads every block it did not clear
-        return not question.settled
+            screen = lambda _, stack: level.cleared(stack)
+            scan = _block_spectra(n_cols, q, budget, blocks, whole=whole, screen=screen)
+            spectra = (vals for _, vals in scan)
+        # any stops at the first dependent block, and no chunk is drawn after it.
+        return not any(level.dependent(vals) for vals in spectra)
 
     def walk_up(q: int) -> int:
         while q < n_cols and independent(q + 1):
@@ -413,6 +416,5 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")
-    scan = _block_spectra(n_cols, m, budget, _gram_blocks(arr), _Least(), whole=True)
-    lam_min = min(vals[-1] for _, vals in scan)
-    return math.ldexp(math.sqrt(max(0.0, float(lam_min))), e)
+    lam_min, _ = _least_block(n_cols, m, budget, _gram_blocks(arr))
+    return math.ldexp(math.sqrt(max(0.0, lam_min)), e)

@@ -923,7 +923,8 @@ def test_fixture_results_are_pinned(capsys, argv, code, results):
 # formatted --help text, which differs between Python versions.
 _COMMON = [
     (("--tol",), "tol", "_StoreAction", False, 1e-09, "_tolerance", "relative tolerance in (0, 1)"),
-    (("--budget",), "budget", "_StoreAction", False, 2000000, "_count", "subset budget"),
+    (("--budget",), "budget", "_StoreAction", False, 2000000, "_count",
+     "cap on subsets scanned and on doa-bound's P x K steering entries"),
     (("--json",), "json_path", "_StoreAction", False, None, None, "write the report here"),
     (("--timing",), "timing", "_StoreTrueAction", False, False, None, "include wall time in the report"),
 ]

@@ -512,9 +512,9 @@ class TestContentMemo:
         real = matcore._jacobi
         count = [0]
 
-        def counting(w, v=None, question=None):
+        def counting(w, v=None):
             count[0] += 1
-            return real(w, v, question)
+            return real(w, v)
 
         monkeypatch.setattr(matcore, "_jacobi", counting)
         return count

@@ -503,17 +503,19 @@ class TestScanChunks:
         matcore._MEMO.clear()  # an earlier test may hold this input's mu
         solves = []
 
-        def counting(stack, question=None):
+        def counting(stack):
             solves.append(len(stack))
-            return matcore.stack_eigvals(stack, question)
+            return matcore.stack_eigvals(stack)
 
         monkeypatch.setattr(submatrix, "stack_eigvals", counting)
         rng = np.random.default_rng(862)
-        f = rng.normal(size=(11, 11)) + 1j * rng.normal(size=(11, 11))
+        # Rank 6 < 7: every block is within rounding of singular, so no
+        # Cholesky pivot is positive and the screen leaves each chunk whole.
+        f = rng.normal(size=(11, 6)) + 1j * rng.normal(size=(11, 6))
         if scan == "mu":
             min_submatrix_eigenvalue(f @ f.conj().T, 7)
         else:
-            min_subset_singular_value(f, 7)
+            min_subset_singular_value(f.conj().T, 7)
         assert solves == [256, 74]  # C(11, 7) = 330
 
     def test_memo_hit_draws_no_subset_but_keeps_the_budget(self, drawn):
@@ -537,7 +539,7 @@ class TestScanChunks:
         a = np.eye(5)
         a[1, 4] = a[4, 1] = 0.5  # (0, 1, 2) and (0, 1, 3) diagonal, (0, 1, 4) not
         blocks = submatrix._principal_blocks(a)
-        scan = submatrix._block_spectra(5, 3, 100, blocks, submatrix._Least())
+        scan = submatrix._block_spectra(5, 3, 100, blocks)
         assert [next(scan)[0] for _ in range(2)] == [(0, 1, 2), (0, 1, 3)]
         with pytest.raises(ConvergenceError):
             next(scan)
@@ -563,7 +565,7 @@ def per_subset_sv(v, m):
 
 
 class TestEarlyLeave:
-    """Blocks leave a scan once their Weyl bracket answers it; no result moves."""
+    """Scans that drop blocks before the solve give the full scans' results."""
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_exact_ties_keep_the_first_subset(self, m):
@@ -653,53 +655,110 @@ class TestEarlyLeave:
         value, subset = per_subset_mu(h, m)
         assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
 
-    @pytest.fixture
-    def block_sweeps(self, monkeypatch):
-        """Blocks swept, summed over every sweep: a stack sweep counts its stack."""
-        count = [0]
-        stack_sweep, scalar_sweep = matcore._stack_sweep, matcore._scalar_sweep
 
-        def stack(w, skip_tol):
-            count[0] += len(w)
-            stack_sweep(w, skip_tol)
+class TestMinimumScreen:
+    """Minimum scans drop blocks clears_floor proves above the incumbent; no bit moves.
 
-        def scalar(w, skip_tol, v):
-            count[0] += 1
-            scalar_sweep(w, skip_tol, v)
+    Every case is compared bit for bit with per_subset_mu or per_subset_sv,
+    which solve each subset alone and screen nothing.
+    """
 
-        monkeypatch.setattr(matcore, "_stack_sweep", stack)
-        monkeypatch.setattr(matcore, "_scalar_sweep", scalar)
-        return count
+    @staticmethod
+    def check_mu(a, m):
+        matcore._MEMO.clear()  # the scan must run, not read a stored result
+        res = min_submatrix_eigenvalue(a, m)
+        value, subset = per_subset_mu(a, m)
+        assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+        return res
 
-    def test_kruskal_level_sweeps_fewer_blocks(self, block_sweeps):
-        rng = np.random.default_rng(883)
-        f = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
-        a = f @ f.conj().T
-        blocks = submatrix._principal_blocks(a)
-        question = submatrix._AnyDependent(lambda top: 1e-9 * np.maximum(1.0, top))
-        for _ in submatrix._block_spectra(9, 4, 1000, blocks, question, whole=True):
-            pass
-        assert not question.settled  # level 4 of a generic rank-4 matrix passes
-        asked = block_sweeps[0]
-        block_sweeps[0] = 0
-        matcore.stack_eigvals(blocks(np.array(list(itertools.combinations(range(9), 4)))))
-        assert 0 < asked < block_sweeps[0]
+    @staticmethod
+    def check_sv(v, m):
+        got = min_subset_singular_value(v, m)
+        assert repr(got) == repr(per_subset_sv(v, m))
+        return got
 
-    def test_mu_argmin_never_leaves(self, block_sweeps):
+    def test_fewer_blocks_reach_the_solver_the_argmin_among_them(self, monkeypatch):
         rng = np.random.default_rng(884)
         f = rng.normal(size=(10, 6)) + 1j * rng.normal(size=(10, 6))
-        a = f @ f.conj().T  # rank A = m, so the brackets separate
-        blocks = submatrix._principal_blocks(a)
-        kept = dict(
-            submatrix._block_spectra(10, 6, 1000, blocks, submatrix._Least(), whole=True)
-        )
-        asked = block_sweeps[0]
-        block_sweeps[0] = 0
-        matcore.stack_eigvals(blocks(np.array(list(itertools.combinations(range(10), 6)))))
-        assert 0 < asked < block_sweeps[0]
+        a = f @ f.conj().T  # rank A = m
         value, subset = per_subset_mu(a, 6)
-        assert subset in kept and repr(float(kept[subset][-1])) == repr(value)
-        assert len(kept) < math.comb(10, 6)
+        matcore._MEMO.clear()
+        real = matcore._jacobi
+        solved = []
+
+        def counting(w, v=None):
+            solved.extend(np.array(w))  # one entry per block of the stack
+            return real(w, v)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        res = min_submatrix_eigenvalue(a, 6)
+        assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+        assert 0 < len(solved) < math.comb(10, 6)
+        argmin = a[np.ix_(subset, subset)]
+        assert any(np.array_equal(block, argmin) for block in solved)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_identity_ties_keep_the_first_subset(self, m):
+        assert self.check_mu(np.eye(9), m).argmin_subset == tuple(range(m))
+        self.check_sv(np.eye(9), m)
+
+    def test_an_incumbent_past_the_first_tie_keeps_the_first_tie(self):
+        a = np.diag([1.0, 2.0, 2.0, 9.0, 1.0])
+        subsets = list(itertools.combinations(range(5), 3))
+        pivots = matcore.least_pivots(submatrix._principal_blocks(a)(np.array(subsets)), 0.0)
+        # The largest trace gives the largest Rump shift, so the least pivot.
+        assert subsets[int(np.argmin(pivots))] == (0, 1, 3)
+        assert self.check_mu(a, 3).argmin_subset == (0, 1, 2)
+
+    def test_repeated_columns(self):
+        rng = np.random.default_rng(885)
+        for n, r, m in [(7, 5, 4), (9, 6, 5), (9, 4, 4)]:
+            f = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+            f[:, 3] = f[:, 1]
+            f[:, 6] = f[:, 0]
+            self.check_mu(f.conj().T @ f, m)
+            self.check_sv(f, m)
+
+    def test_a_block_exactly_at_the_screen_floor(self):
+        """Block (0, 1, 2) has lambda_min exactly best + margin ||W||_F, so it is solved."""
+        margin = matcore.bracket_margin(3)
+        x = 1.0
+        for _ in range(5):  # x = 1 + margin * sqrt(x^2 + 8), to the last bit
+            x = 1.0 + margin * float(np.linalg.norm(np.diag([x, 2.0, 2.0])))
+        a = np.diag([x, 2.0, 2.0, 1.0])
+        block = a[:3, :3][None]
+        assert x == 1.0 + margin * np.linalg.norm(block[0])  # the scan's floor
+        assert not matcore.clears_floor(block, x)[0]
+        assert matcore.clears_floor(block, 0.5)[0]
+        assert self.check_mu(a, 3).argmin_subset == (0, 1, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_one_below_and_at_the_order(self, seed):
+        rng = np.random.default_rng(886 + seed)
+        n, m = 10, 6
+        for rank in (m - 1, m):
+            f = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            self.check_mu(f @ f.conj().T, m)
+            self.check_sv(f.conj().T, m)
+
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_blocks_scaled_by_a_power_of_two(self, k):
+        rng = np.random.default_rng(887)
+        f = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        a = f @ f.conj().T
+        res = self.check_mu(a * 2.0**k, 5)
+        plain = self.check_mu(a, 5)
+        assert (res.value, res.argmin_subset) == (plain.value * 2.0**k, plain.argmin_subset)
+        v = f.conj().T
+        assert self.check_sv(v * 2.0 ** (k // 2), 5) == self.check_sv(v, 5) * 2.0 ** (k // 2)
+
+    def test_one_subset_scan(self):
+        rng = np.random.default_rng(888)
+        f = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        self.check_sv(f, 4)
+        a = f @ f.conj().T
+        value, subset = submatrix._least_block(6, 6, 1, submatrix._principal_blocks(a))
+        assert (repr(value), subset) == (repr(float(stack_eigvals(a[None])[0][-1])), tuple(range(6)))
 
 
 def screen_inputs(rng):
@@ -780,9 +839,9 @@ class TestKruskalScreen:
         real = matcore._jacobi
         orders = []
 
-        def counting(w, v=None, question=None):
+        def counting(w, v=None):
             orders.extend([w.shape[1]] * len(w))  # one entry per block of the stack
-            return real(w, v, question)
+            return real(w, v)
 
         monkeypatch.setattr(matcore, "_jacobi", counting)
         rng = np.random.default_rng(902 + n)
