@@ -35,9 +35,10 @@ from .matcore import (
 )
 from .submatrix import (
     DEFAULT_BUDGET,
+    check_budget,
+    floor_mu,
     floor_order,
     kruskal_rank,
-    min_submatrix_eigenvalue,
     min_subset_singular_value,
 )
 
@@ -141,10 +142,11 @@ class DoaBoundReport:
     the worst squared subset singular value of the P x K steering block at
     subset size m = K - rank(sigma_s) + 1. positivity_predicted records the
     combinatorial criterion P >= m, which is exactly when the floor can be
-    positive. bound_holds (bound <= lambda_min_smoothed + tol) and
-    bound_positive (bound > tol) take tol = tol_for(lambda_max) of the
-    smoothed covariance, so both verdicts are the same for every scaling
-    of sigma_s.
+    positive: when P < m every P x m column block has rank below m, so
+    tilde_sigma_sq is an exact 0.0 and no subset is scanned. bound_holds
+    (bound <= lambda_min_smoothed + tol) and bound_positive (bound > tol)
+    take tol = tol_for(lambda_max) of the smoothed covariance, so both
+    verdicts are the same for every scaling of sigma_s.
     """
 
     r_sigma_s: int
@@ -165,12 +167,17 @@ def doa_bound(
     """Certified floor for the smoothed covariance of the given scenario.
 
     A scenario whose P x K steering block has more entries than budget is
-    refused with BudgetExceededError before anything is built.
+    refused with BudgetExceededError before anything is built, and so is
+    one whose C(K, m) subsets exceed it, even when P < m spares the scan.
     """
     _check_size(scenario, budget)
     r, m, kappa = floor_order(scenario.sigma_s, tau_rel, "source covariance")
-    v = build_steering(scenario.P, scenario.omega)
-    tilde = min_subset_singular_value(v, m, budget)
+    if scenario.P < m:
+        # Every P x m column block has rank at most P < m, so its sigma_m is exactly 0.
+        check_budget(scenario.K, m, budget)
+        tilde = 0.0
+    else:
+        tilde = min_subset_singular_value(build_steering(scenario.P, scenario.omega), m, budget)
     tilde_sq = tilde * tilde
     min_diag = float(np.min(scenario.sigma_s.diagonal()))
     bound = tilde_sq * min_diag / kappa
@@ -304,7 +311,10 @@ class CpBoundReport:
     diagonal, so no diagonal factor appears); m1_floor multiplies it by the
     d1-th squared singular value of the first loading. condition_met
     records whether the Kruskal rank of G reaches d - rank(B*B) + 1, the
-    regime in which the floors are positive.
+    regime in which the floors are positive. mu is the least lambda_min
+    over G's principal submatrices of order m = d - d2 + 1, or an exact
+    0.0, unscanned, when G's numeric rank is below m (as
+    submatrix.floor_mu decides).
     """
 
     d1: int
@@ -331,7 +341,7 @@ def cp_bound(
     d2, m, kappa = floor_order(btb, tau_rel, "second loading Gram matrix")
     if rank_numeric(g_mat, tau_rel) == 0:
         raise ZeroMatrixError("score Gram matrix is numerically zero")
-    mu = min_submatrix_eigenvalue(g_mat, m, budget).value
+    mu = floor_mu(g_mat, m, tau_rel, budget)
     hadamard_floor = mu / kappa
 
     d1, sigma_d1_sq = least_positive(scenario.a_load.T @ scenario.a_load, tau_rel)

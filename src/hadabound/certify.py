@@ -41,6 +41,7 @@ from .matcore import (
 )
 from .submatrix import (
     DEFAULT_BUDGET,
+    floor_mu,
     floor_order,
     kruskal_rank,
     min_submatrix_eigenvalue,
@@ -71,9 +72,13 @@ class BoundReport:
     """Everything computed while bounding lambda_min(A o B) from below.
 
     quantitative_bound is mu * min_diag / kappa_eff exactly as those three
-    numbers appear in the report. loewner_verified records that
-    A o B - (mu / kappa_eff) * diag(B) passed a positive semidefiniteness
-    check, which is a stronger statement than the scalar bound alone.
+    numbers appear in the report. mu is the least lambda_min over A's
+    principal submatrices of order n - r_b + 1, or an exact 0.0, unscanned,
+    when A's numeric rank is below that order (as submatrix.floor_mu
+    decides); margin then equals actual_lambda_min. loewner_verified
+    records that A o B - (mu / kappa_eff) * diag(B) passed a positive
+    semidefiniteness check, which is a stronger statement than the scalar
+    bound alone.
     """
 
     n: int
@@ -94,15 +99,18 @@ def quantitative_bound(
     """Certified floor for lambda_min(A o B) that survives singular A.
 
     Both factors must be positive semidefinite and B must not be
-    numerically zero. The floor degrades gracefully: it is zero (matching
-    the classical floor) when the relevant submatrix minimum vanishes, and
-    strictly positive whenever every principal submatrix of A of order
-    n - rank(B) + 1 is positive definite and B has a positive diagonal.
+    numerically zero. With m = n - rank(B) + 1, the floor is exactly 0 when
+    A's numeric rank is below m and lambda_min(A) >= -tol_for(max |a_ij|):
+    every order-m block is then numerically singular, so mu is read as 0.0
+    without a scan (submatrix.floor_mu), and 0 is the floor Schur's product
+    theorem gives. Otherwise mu is the scanned minimum, and the floor is
+    strictly positive whenever every principal submatrix of A of order m
+    is positive definite and B has a positive diagonal.
     """
     am, bm = _psd_pair(a, b, tau_rel)
     n = am.n
     r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
-    mu = min_submatrix_eigenvalue(am, m, budget).value
+    mu = floor_mu(am, m, tau_rel, budget)
     min_diag = float(np.min(bm.diagonal()))
     product = hadamard(am, bm)
     actual = float(eigvals_hermitian(product)[-1])
@@ -252,8 +260,13 @@ def decompose_projection(proj, tol: float = DEFAULT_TOL_REL) -> ProjectionParts:
 class ProjectionCertificate:
     """Submatrix floor hypothesis and product positivity conclusion.
 
-    The implication hypothesis => conclusion always holds mathematically;
-    `consistent` is False only if the implementation itself is broken.
+    mu is the least lambda_min over C's principal submatrices of order
+    n - projection_rank + 1, or an exact 0.0, unscanned, when C has numeric
+    rank below that order and lambda_min(C) >= hypothesis_threshold
+    (submatrix.floor_mu); any other C, an indefinite one included, is
+    scanned, so reading 0 moves no hypothesis verdict. The implication
+    hypothesis => conclusion always holds mathematically; `consistent` is
+    False only if the implementation itself is broken.
     """
 
     hypothesis_holds: bool
@@ -286,7 +299,7 @@ def projection_certificate(
         raise DimensionError(f"operand sizes differ: {cm.n} vs {arr.shape[0]}")
     if rank < 1:
         raise NotProjectionError("projection rank must be at least 1")
-    mu = min_submatrix_eigenvalue(cm, cm.n - rank + 1, budget).value
+    mu = floor_mu(cm, cm.n - rank + 1, tau_rel, budget)
     threshold = -tol_for(float(np.max(np.abs(cm.entries))), tau_rel)
     # P passed the projection check's symmetry test; a carrier of P would
     # test it again at the stricter carrier tolerance, so C o P is formed
@@ -368,13 +381,14 @@ def shift_construction(
     certified floor for (A, B) is not positive, since then no admissible
     shift exists: positive means above tol_for(lambda_max(A) * max
     diag(B)), the scale of A o B by Schur's bound ||A o B|| <=
-    lambda_max(A) max_i b_ii.
+    lambda_max(A) max_i b_ii. An A whose mu submatrix.floor_mu reads as
+    0.0, below the rank, has the floor 0.0 exactly and is refused.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
     am, bm = _psd_pair(a, b, tau_rel)
     _, m, kappa = floor_order(bm, tau_rel, "second factor")
-    mu = min_submatrix_eigenvalue(am, m, budget).value
+    mu = floor_mu(am, m, tau_rel, budget)
     floor = mu * float(np.min(bm.diagonal())) / kappa
     if floor <= tol_for(eigvals_hermitian(am)[0] * np.max(bm.diagonal()), tau_rel):
         raise NotPsdError(f"certified floor {floor!r} is not positive; no admissible shift")

@@ -519,14 +519,16 @@ def least_pivots(stack: np.ndarray, floor) -> np.ndarray:
     as -inf, and so does every pivot of a block that clears_floor never
     clears: one of order at most 2, or with a norm outside NORM_BAND. Each
     pivot is a diagonal entry of a Schur complement of S = E - sigma I, so
-    it is at least lambda_min(S): at floor 0 the block with the least pivot
-    is a guess at the block with the least lambda_min.
+    it is at least lambda_min(S): among blocks whose Cholesky completes at
+    one floor, the block with the least pivot is a guess at the block with
+    the least lambda_min.
     """
     k, m = stack.shape[0], stack.shape[1]
     if m <= 2 or k == 0:
         return np.full(k, -np.inf)
     a = np.asarray(stack, dtype=np.complex128)
-    floor = np.maximum(np.broadcast_to(floor, (k,)), 0.0)
+    floor = np.broadcast_to(np.asarray(floor, dtype=np.float64), (k,))
+    lift = np.maximum(-floor, 0.0)
     n = 2 * m
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fro = _frobenius(a)
@@ -540,8 +542,9 @@ def least_pivots(stack: np.ndarray, floor) -> np.ndarray:
         s[m:, :m] = (im_lower - im_lower.transpose(0, 2, 1)).transpose(1, 2, 0)
         diag = s.reshape(n * n, k)[:: n + 1]  # a view of the (N, k) diagonals
         d = np.abs(diag)
-        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + floor + dev + d.max(axis=0))
-        c += 8 * n * (n + 3 + d.max(axis=0)) * _LEAST_SUBNORMAL
+        top = d.max(axis=0) + lift
+        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + n * lift + np.abs(floor) + dev + top)
+        c += 8 * n * (n + 3 + top) * _LEAST_SUBNORMAL
         diag -= floor + dev + c
         # Right-looking: column j of the factor overwrites column j of S
         # below the diagonal, and the diagonal is left holding the pivots. A
@@ -560,21 +563,23 @@ def least_pivots(stack: np.ndarray, floor) -> np.ndarray:
 def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
     """Per block of a (k, m, m) Hermitian stack: True only if its exact lambda_min exceeds floor.
 
-    floor is one value or one per block; a negative one is taken as 0. A
-    block A is read as LAPACK reads it: the Hermitian B takes A's lower
-    triangle and the real part of its diagonal. Let E = [[Re B, -Im B],
-    [Im B, Re B]] be B's real embedding, of order N = 2m, which has each
-    eigenvalue of B twice; dev = ||A - A^*||_F, 0 for an exactly Hermitian
-    A; and
+    floor is one value or one per block, of either sign. A block A is read
+    as LAPACK reads it: the Hermitian B takes A's lower triangle and the
+    real part of its diagonal. Let E = [[Re B, -Im B], [Im B, Re B]] be
+    B's real embedding, of order N = 2m, which has each eigenvalue of B
+    twice; dev = ||A - A^*||_F, 0 for an exactly Hermitian A; F =
+    max(0, -floor), the lift a negative floor gives the diagonal; and
 
-        c = (N + 3) u (t + floor + dev + d) + 8 N (N + 3 + d) eta,
+        c = (N + 3) u (t + |floor| + dev + d) + 8 N (N + 3 + d) eta,
 
-    with t and d the sum and the largest of |E_ii|, u = 2^-53 the unit
-    roundoff and eta = 2^-1074 the least subnormal. The block is cleared
-    when a floating-point Cholesky of S = E - sigma I, sigma = floor + dev
-    + c, completes with positive pivots (least_pivots). Blocks of order at most 2, which
-    stack_eigvals solves in closed form, and blocks with a norm outside
-    NORM_BAND are never cleared. Plain numpy across the stack, no LAPACK.
+    with t = N F + sum_i |E_ii| and d = F + max_i |E_ii|, u = 2^-53 the
+    unit roundoff and eta = 2^-1074 the least subnormal. For floor >= 0, F
+    is 0 and t and d are the sum and the largest of |E_ii|. The block is
+    cleared when a floating-point Cholesky of S = E - sigma I, sigma =
+    floor + dev + c, completes with positive pivots (least_pivots). Blocks
+    of order at most 2, which stack_eigvals solves in closed form, and
+    blocks with a norm outside NORM_BAND are never cleared. Plain numpy
+    across the stack, no LAPACK.
 
     Why success proves lambda_min(B) > floor + dev, after Rump
     ("Verification of positive definiteness", BIT 46, 2006), whose
@@ -591,15 +596,21 @@ def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
       (1 - gamma_{N+1}) < (N + 1.01) u.
     - R has a positive diagonal, so R^T R is positive definite and
       lambda_min(S) > -||Delta||_2.
-    - Every pivot positive means 0 < S_ii = fl(E_ii - sigma) <= (1 + u)
-      E_ii, as sigma >= 0. S differs from E - sigma I by a diagonal of at
-      most u E_ii, and the computed sigma is below floor + dev + c by at
-      most 2u of it.
+    - Every pivot positive means 0 < S_ii = fl(E_ii - sigma'), sigma' the
+      computed sigma. As dev and c are not negative and rounding is
+      monotone, sigma' >= floor. If sigma' >= 0, then E_ii > sigma' and
+      |E_ii - sigma'| <= |E_ii|; if sigma' < 0, then |sigma'| <= F and
+      |E_ii - sigma'| <= |E_ii| + F. Either way S_ii <= (1 + u) (|E_ii| +
+      F), so tr(S) <= (1 + u) t and max S_ii <= (1 + u) d: a negative
+      floor adds N |floor| to the trace term, as the Cholesky of E + F I
+      would. S differs from E - sigma' I by a diagonal of at most u d, and
+      sigma' is below floor + dev + c by at most 2u (|floor| + dev + c).
 
     Together lambda_min(E) > floor + dev: c exceeds the sum of those terms
     by nearly 2u t, which covers its own rounding. dev bounds, up to its
     rounding, how far any other Hermitian reading of the block (its upper
-    triangle, its Hermitian part) moves an eigenvalue.
+    triangle, its Hermitian part) moves an eigenvalue. A floor so far below
+    zero that N F overflows makes c infinite, and no block is cleared.
     """
     return least_pivots(stack, floor) > 0.0
 

@@ -16,6 +16,12 @@ every block proved above the threshold by that bound (see
 _AnyDependent.cleared). A converged solve of a dropped block would
 neither reach the minimum nor find the block dependent, so every value,
 argmin and Kruskal rank is the one a scan that solves every block gives.
+
+The floors read mu through floor_mu, which scans nothing when the
+matrix's numeric rank is below the order and it is positive semidefinite
+at the scale of its largest entry: every block is then numerically
+singular, and mu is an exact 0.0. min_submatrix_eigenvalue itself always
+scans.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ SCAN_CHUNK_MAX = 256
 GRAM_BAND = (2.0**-500, 2.0**480)
 
 
-def _check_budget(n: int, m: int, budget: int) -> None:
+def check_budget(n: int, m: int, budget: int) -> None:
+    """Refuse, with BudgetExceededError, a scan of C(n, m) subsets over the budget."""
     count = math.comb(n, m)
     if count > budget:
         raise BudgetExceededError(
@@ -72,7 +79,7 @@ def iter_subsets(n: int, m: int, budget: int = DEFAULT_BUDGET):
     """All size-m subsets of range(n), lexicographic, guarded by the budget."""
     if not 0 <= m <= n:
         raise ValueError(f"subset size {m} is out of range for ground set {n}")
-    _check_budget(n, m, budget)
+    check_budget(n, m, budget)
     return itertools.combinations(range(n), m)
 
 
@@ -160,18 +167,23 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
 
     best, the least (value, subset) solved so far, is carried across
     chunks, so equal values keep the first subset. Each chunk is screened
-    before its solve:
+    before its solve, with margin = matcore.bracket_margin(m):
 
-    - its first block with the least Cholesky pivot at floor 0
-      (matcore.least_pivots), a guess at its argmin, is solved alone and
-      taken into best, the incumbent;
-    - every block that clears_floor proves above best + margin ||W||_F,
-      margin = matcore.bracket_margin(m), is dropped: by the bridge in
-      bracket_margin's docstring a converged solve would return a value
-      above best, neither the minimum nor a tie with it;
-    - the rest are solved. A chunk of one block, or one with no positive
-      pivot (every block within rounding of singular, as when the matrix's
-      rank is below m), is solved whole.
+    - its incumbent, a guess at its argmin, is solved alone and taken into
+      best. It is the first block with the least Cholesky pivot
+      (matcore.least_pivots) at floor 0 when some block is proved positive
+      definite there. Otherwise the floor is -max ||W||_F, below every
+      block's lambda_min, so that every Cholesky completes and the least
+      pivot points at a block whose lambda_min lies near the bottom;
+    - every block that clears_floor proves above best + margin ||W||_F, a
+      floor of either sign, is dropped: by the bridge in bracket_margin's
+      docstring a converged solve would return a value above best, neither
+      the minimum nor a tie with it;
+    - the rest are solved. A chunk of one block is solved whole, and so is
+      one with no block proved positive definite but every block proved
+      above -margin ||W||_F: every block is within rounding of singular (as
+      when a positive semidefinite matrix's rank is below m), so no
+      incumbent could clear another.
     """
     best = (math.inf, ())
 
@@ -180,14 +192,19 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
         drop = np.zeros(len(chunk), dtype=bool)
         if len(chunk) == 1:
             return drop
-        pivots = least_pivots(stack, 0.0)
-        if not np.any(pivots > 0.0):
-            return drop
-        i = int(np.argmin(pivots))
-        best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
         with np.errstate(over="ignore"):
             fro = np.linalg.norm(stack, axis=(1, 2))
-        drop = clears_floor(stack, best[0] + bracket_margin(m) * fro)
+        slack = bracket_margin(m) * fro
+        pivots = least_pivots(stack, 0.0)
+        if not np.any(pivots > 0.0):
+            if np.all(least_pivots(stack, -slack) > 0.0):
+                return drop
+            pivots = least_pivots(stack, -fro.max())
+            if not np.any(pivots > 0.0):  # orders <= 2, or norms no Cholesky clears
+                return drop
+        i = int(np.argmin(pivots))
+        best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
+        drop = clears_floor(stack, best[0] + slack)
         drop[i] = True
         return drop
 
@@ -283,13 +300,40 @@ def min_submatrix_eigenvalue(a, m: int, budget: int = DEFAULT_BUDGET) -> MinSubm
     if m == n:
         value = float(eigvals_hermitian(am)[-1])
         return MinSubmatrixResult(value, tuple(range(n)), n)
-    _check_budget(n, m, budget)
+    check_budget(n, m, budget)
 
     def scan() -> MinSubmatrixResult:
         value, subset = _least_block(n, m, budget, _principal_blocks(am.entries))
         return MinSubmatrixResult(value, subset, m)
 
     return solved_once("mu", m, am.entries, scan)
+
+
+def floor_mu(a, m: int, tau_rel: float, budget: int) -> float:
+    """The mu a floor reads: min_submatrix_eigenvalue(a, m, budget).value, or 0.0 below the rank.
+
+    The result is an exact 0.0, and no block is scanned, when a's numeric
+    rank r (rank_numeric) is below m and lambda_min(a) >= -tol_for(max
+    |a_ij|). By interlacing (Horn and Johnson, Matrix Analysis, Thm
+    4.3.28), every order-m block's lambda_min then lies between
+    lambda_min(a) and lambda_m(a) <= lambda_{r+1}(a), and up to the
+    solver's error both ends lie within tol_for of 0: a scan would return
+    rounding noise, which may come out positive, and 0 is the floor Schur's
+    product theorem gives for A o B >= 0. The lower end is judged at the
+    scale of the largest entry, which projection_certificate's hypothesis
+    uses, and not at classify_psd's tol_for(lambda_max): a matrix between
+    the two is scanned, so reading 0 moves no hypothesis verdict. Both
+    tests read a's one cached spectrum. The budget is checked where the
+    scan would check it (orders 1 < m < n), so a call over it raises all
+    the same.
+    """
+    am = as_hermitian(a)
+    low = eigvals_hermitian(am)[-1] >= -tol_for(float(np.max(np.abs(am.entries))), tau_rel)
+    if not (low and rank_numeric(am, tau_rel) < m):
+        return min_submatrix_eigenvalue(am, m, budget).value
+    if 1 < m < am.n:
+        check_budget(am.n, m, budget)
+    return 0.0
 
 
 def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BUDGET) -> int:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hadabound import apps
 from hadabound.apps import (
     CpScenario,
     DoaScenario,
@@ -22,7 +23,7 @@ from hadabound.apps import (
     smoothed_cov_direct,
     smoothed_cov_hadamard,
 )
-from hadabound.errors import DimensionError, NotPsdError
+from hadabound.errors import BudgetExceededError, DimensionError, NotPsdError
 from hadabound.generators import random_cp_scenario, random_doa_scenario
 
 COHERENT_PAIR = dict(
@@ -131,6 +132,19 @@ class TestDoaBound:
             assert rep.positivity_predicted == (p >= 3)
             assert rep.bound_positive == (p >= 3)
             assert rep.bound_holds
+
+    def test_too_few_subarrays_give_an_exact_zero_unscanned(self, monkeypatch):
+        """P < m: every P x m column block has sigma_m exactly 0, so no Gram is scanned."""
+        rng = np.random.default_rng(1730)
+        f = rng.normal(size=(10, 5)) + 1j * rng.normal(size=(10, 5))
+        omega = tuple(-3.0 + 0.6 * k for k in range(10))
+        s = DoaScenario(N=12, K=10, P=4, omega=omega, sigma_s=f @ f.conj().T)  # m = 6
+        monkeypatch.setattr(apps, "min_subset_singular_value", None)  # a call would raise
+        rep = doa_bound(s, budget=210)  # C(10, 6) = 210
+        assert (rep.m, rep.tilde_sigma_sq, rep.bound) == (6, 0.0, 0.0)
+        assert rep.bound_holds and not rep.positivity_predicted and not rep.bound_positive
+        with pytest.raises(BudgetExceededError, match="C\\(10,6\\) = 210"):
+            doa_bound(s, budget=209)
 
     def test_bound_never_exceeds_oracle(self):
         rng = np.random.default_rng(42)

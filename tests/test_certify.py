@@ -6,6 +6,7 @@ Oracle checks in the property loops use numpy's eigensolver.
 """
 
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -23,6 +24,7 @@ from hadabound.certify import (
     shift_construction,
 )
 from hadabound.errors import (
+    BudgetExceededError,
     DimensionError,
     NotProjectionError,
     NotPsdError,
@@ -32,7 +34,12 @@ from hadabound import matcore
 from hadabound.apps import CpScenario, DoaScenario, cp_bound, doa_bound
 from hadabound.generators import random_doa_scenario, random_psd_with_kruskal
 from hadabound.matcore import PsdKind, classify_psd, hadamard
-from hadabound.submatrix import effective_condition_number, kruskal_rank, min_submatrix_eigenvalue
+from hadabound.submatrix import (
+    effective_condition_number,
+    floor_mu,
+    kruskal_rank,
+    min_submatrix_eigenvalue,
+)
 
 A = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 B = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
@@ -465,6 +472,135 @@ class TestSolveCounts:
         a = random_psd_with_kruskal(np.random.default_rng(62), self.N, 4, 4)
         shift_construction(a, b, 1.0)
         assert sum(np.array_equal(arr, a.entries) for arr in solves) == 1
+
+
+def hermitian_gram(rng, r, n):
+    """The Hermitian part of F* F for a complex standard-normal r x n F."""
+    f = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    g = f.conj().T @ f
+    return (g + g.conj().T) / 2.0
+
+
+def low_rank_pairs():
+    """(seed, A, B) with rank A below the floor order m = n - rank B + 1, n from 3 to 6."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        r_a, r_b = int(rng.integers(1, n)), int(rng.integers(1, n))
+        a, b = hermitian_gram(rng, r_a, n), hermitian_gram(rng, r_b, n)
+        if matcore.rank_numeric(a) < n - matcore.rank_numeric(b) + 1:
+            yield seed, a, b
+
+
+P4_RANK2 = random_projection(np.random.default_rng(1714), 4, 2)
+
+
+class TestZeroBelowTheRank:
+    """A PSD matrix of numeric rank below the floor order m gives the floors mu = 0.0, unscanned."""
+
+    @pytest.fixture
+    def solved_orders(self, monkeypatch):
+        """The order of every block that reaches the Jacobi solver."""
+        matcore._MEMO.clear()  # an earlier test may hold these inputs' results
+        real = matcore._jacobi
+        orders = []
+
+        def counting(w, v=None):
+            orders.extend([w.shape[1]] * len(w))
+            return real(w, v)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        return orders
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interlacing_below_and_at_the_order(self, seed):
+        """Each order-m block's lambda_min lies in [lambda_min(A), lambda_m(A)] (eigvalsh)."""
+        rng = np.random.default_rng(1700 + seed)
+        n, m = 9, 5
+        for r in (m - 1, m):
+            a = random_psd(rng, n, r)
+            vals = np.linalg.eigvalsh(a)  # non-decreasing
+            slack = 1e-12 * vals[-1]
+            blocks = [
+                np.linalg.eigvalsh(a[np.ix_(s, s)])[0]
+                for s in itertools.combinations(range(n), m)
+            ]
+            assert vals[0] - slack <= min(blocks) and max(blocks) <= vals[n - m] + slack
+            tol = matcore.tol_for(vals[-1])
+            if r < m:  # lambda_m is lambda_{r+1}: the whole interval is noise
+                assert abs(vals[0]) <= tol and abs(vals[n - m]) <= tol
+                assert floor_mu(a, m, matcore.DEFAULT_TOL_REL, 10**6) == 0.0
+            else:
+                assert min(blocks) > tol
+                assert repr(floor_mu(a, m, matcore.DEFAULT_TOL_REL, 10**6)) == repr(
+                    min_submatrix_eigenvalue(a, m).value
+                )
+
+    def test_seed_268_pair_reports_an_exact_zero(self):
+        """Its noise scan gave mu 9.6e-17 and a floor of 1.38e-17 that nothing proves."""
+        (_, a, b), = [pair for pair in low_rank_pairs() if pair[0] == 268]
+        assert (a.shape[0], matcore.rank_numeric(a), matcore.rank_numeric(b)) == (5, 4, 1)
+        rep = quantitative_bound(a, b)
+        assert (rep.mu, rep.quantitative_bound) == (0.0, 0.0)
+        assert rep.margin == rep.actual_lambda_min and rep.loewner_verified
+
+    def test_no_floor_is_positive_below_the_rank(self):
+        seeds = []
+        for seed, a, b in low_rank_pairs():
+            seeds.append(seed)
+            rep = quantitative_bound(a, b)
+            assert (rep.mu, rep.quantitative_bound) == (0.0, 0.0), seed
+        assert len(seeds) == 177
+
+    def test_no_block_of_the_order_reaches_the_solver(self, solved_orders):
+        rng = np.random.default_rng(1710)
+        n, m = 10, 6
+        a, b = random_psd(rng, n, m - 1), random_psd(rng, n, n - m + 1)
+        rep = quantitative_bound(a, b)
+        assert rep.mu == 0.0 and rep.r_b == n - m + 1
+        cert = projection_certificate(a, random_projection(rng, n, n - m + 1))
+        assert cert.mu == 0.0 and cert.hypothesis_holds
+        assert m not in solved_orders
+
+    def test_an_indefinite_c_is_still_scanned(self, solved_orders):
+        rng = np.random.default_rng(1711)
+        n, r = 8, 4  # m = 5
+        c = random_psd(rng, n, 2) - random_psd(rng, n, 1)  # indefinite, numeric rank 3 < m
+        assert matcore.rank_numeric(c) == 3 and not classify_psd(c).is_psd
+        cert = projection_certificate(c, random_projection(rng, n, r))
+        assert n - r + 1 in solved_orders
+        assert repr(cert.mu) == repr(min_submatrix_eigenvalue(c, n - r + 1).value)
+        assert cert.mu < 0.0 and not cert.hypothesis_holds
+
+    def test_psd_only_at_the_eigenvalue_scale_is_still_scanned(self):
+        """lambda_min(C) = -3e-9 passes classify_psd (tol 4e-9) but not the hypothesis (1e-9)."""
+        w = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
+        c = np.ones((4, 4)) - 3e-9 * np.outer(w, w)
+        assert classify_psd(c).is_psd and matcore.rank_numeric(c) == 1  # below m = 3
+        cert = projection_certificate(c, P4_RANK2)
+        assert repr(cert.mu) == repr(min_submatrix_eigenvalue(c, 3).value)
+        assert cert.mu < cert.hypothesis_threshold and not cert.hypothesis_holds
+
+    @pytest.mark.parametrize("e", [300, -300])
+    def test_scaled_inputs_read_zero_too(self, e):
+        rng = np.random.default_rng(1712)
+        a, b = random_psd(rng, 7, 3), random_psd(rng, 7, 4)  # m = 4 > rank A
+        for x in (a, a * 2.0**e):
+            rep = quantitative_bound(x, b)
+            assert (rep.mu, rep.quantitative_bound) == (0.0, 0.0)
+            cert = projection_certificate(x, random_projection(rng, 7, 4))
+            assert cert.mu == 0.0
+            with pytest.raises(NotPsdError, match="certified floor 0.0 is not positive"):
+                shift_construction(x, b, 1.0)
+
+    def test_the_budget_still_refuses(self):
+        rng = np.random.default_rng(1713)
+        a, b = random_psd(rng, 9, 3), random_psd(rng, 9, 5)  # m = 5, C(9, 5) = 126
+        assert quantitative_bound(a, b, budget=126).mu == 0.0
+        with pytest.raises(BudgetExceededError, match="C\\(9,5\\) = 126"):
+            quantitative_bound(a, b, budget=125)
+        with pytest.raises(BudgetExceededError):
+            projection_certificate(a, random_projection(rng, 9, 5), budget=125)
 
 
 def report_bits(report) -> dict:

@@ -168,6 +168,20 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "second factor must be positive semidefinite" in captured.err
 
+    def test_rank_below_the_order_over_the_budget(self, tmp_path, capsys):
+        """A floor that reads mu = 0 without a scan still refuses a scan over the budget."""
+        rng = np.random.default_rng(1720)
+        f, g = (rng.normal(size=(7, r)) for r in (2, 4))  # rank A = 2 < m = 4, C(7, 4) = 35
+        a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(f @ f.T, a_path)
+        write_matrix(g @ g.T, b_path)
+        code, doc = run(capsys, "bound", "--a", a_path, "--b", b_path, "--budget", "35")
+        assert (code, doc["results"]["mu"], doc["results"]["quantitative_bound"]) == (0, 0.0, 0.0)
+        code = dispatch(["bound", "--a", a_path, "--b", b_path, "--budget", "34"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "C(7,4) = 35 subsets exceeds the budget of 34" in captured.err
+
     def test_operand_sizes_must_agree(self, tmp_path, capsys):
         a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
         write_matrix(A, a_path)

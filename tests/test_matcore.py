@@ -801,6 +801,64 @@ class TestClearsFloor:
         assert matcore.clears_floor(np.eye(3)[:0], 0.0).shape == (0,)
 
 
+class TestNegativeFloors:
+    """A floor below zero raises the shifted diagonal by |floor|, and Rump's constant with it.
+
+    Blocks whose least eigenvalue is negative clear a floor below it, and
+    never one at or above it.
+    """
+
+    sound = staticmethod(TestClearsFloor.sound)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "centred gram", "hollow"])
+    def test_against_eigvalsh(self, kind):
+        rng = np.random.default_rng(1510)
+        for m in range(3, 9):
+            stack = np.array([random_hermitian(rng, m) for _ in range(12)])
+            if kind == "centred gram":  # trace zero, so lambda_min < 0
+                stack = np.array([TestClearsFloor.blocks(rng, m, "complex") for _ in range(12)])
+                mean = np.trace(stack, axis1=1, axis2=2).real / m
+                stack -= mean[:, None, None] * np.eye(m)
+            elif kind == "hollow":  # a zero diagonal: the shift |floor| is all of S's diagonal
+                stack[:, np.arange(m), np.arange(m)] = 0.0
+            least = np.array([lapack_least(b) for b in stack])
+            fro = np.linalg.norm(stack, axis=(1, 2))
+            assert np.all(least < 0.0)
+            for rel in (0.0, 2.0**-52, 1e-12, 1e-6):
+                assert not self.sound(stack, least + rel * fro).any()
+            for rel in (2.0**-52, 1e-15, 1e-12):
+                self.sound(stack, least - rel * fro)
+            for rel in (1e-9, 1e-6, 1.0, 1e6):
+                assert self.sound(stack, least - rel * fro).all()
+
+    def test_exact_ties_below_zero(self):
+        for m in range(3, 8):
+            for f in (-1e-3, -0.25, -2.0, -7.0):
+                block = np.diag(np.linspace(f, 9.0, m))
+                assert not self.sound(block[None], f).any()
+                assert self.sound(block[None], f - 1e-9 * np.linalg.norm(block)).all()
+                q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(m), m))
+                self.sound((q @ block @ q.conj().T)[None], f)
+
+    @pytest.mark.parametrize("e", [300, -300])
+    def test_scaled_blocks(self, e):
+        rng = np.random.default_rng(1511)
+        stack = np.array([random_hermitian(rng, 6) for _ in range(10)])
+        least = np.array([lapack_least(b) for b in stack])
+        scaled = np.ldexp(stack.view(float), e).view(np.complex128)
+        for floor in (least, least * (1.0 + 1e-9), 2.0 * least):
+            assert np.array_equal(
+                self.sound(scaled, np.ldexp(floor, e)), self.sound(stack, floor)
+            )
+        assert self.sound(scaled, np.ldexp(2.0 * least, e)).all()
+
+    def test_far_below_and_overflowing_floors(self):
+        stack = np.array([np.diag([-1.0, 2.0, 3.0]), np.eye(3)])
+        assert self.sound(stack, -1e300).all()
+        # |floor| N overflows Rump's constant, so nothing is proved.
+        assert not self.sound(stack, -1.7e308).any()
+
+
 def test_tol_for_is_relative_with_no_floor():
     assert tol_for(0.0) == 0.0
     assert tol_for(0.5) == 5e-10

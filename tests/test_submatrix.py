@@ -761,6 +761,54 @@ class TestMinimumScreen:
         assert (repr(value), subset) == (repr(float(stack_eigvals(a[None])[0][-1])), tuple(range(6)))
 
 
+class TestNegativeMinimumScreen:
+    """Minimum scans whose least value is negative drop blocks above a negative incumbent.
+
+    Compared bit for bit with per_subset_mu, which screens nothing.
+    """
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Blocks sent to the Jacobi solver, after the per-subset references are taken."""
+        real = matcore._jacobi
+        count = []
+
+        def patch():
+            matcore._MEMO.clear()  # the scan must run, not read a stored result
+
+            def counting(w, v=None):
+                count.append(len(w))
+                return real(w, v)
+
+            monkeypatch.setattr(matcore, "_jacobi", counting)
+            return count
+
+        return patch
+
+    @staticmethod
+    def inputs(rng, n, m):
+        """Random Hermitian matrices, and a PSD matrix shifted to 1.5 times below its mu."""
+        for _ in range(3):
+            yield random_hermitian(rng, n)
+        f = rng.normal(size=(n, n - 2)) + 1j * rng.normal(size=(n, n - 2))
+        a = f @ f.conj().T
+        mu = min(
+            np.linalg.eigvalsh(a[np.ix_(s, s)])[0] for s in itertools.combinations(range(n), m)
+        )
+        yield a - 1.5 * mu * np.eye(n)  # some blocks positive definite, the least one not
+
+    @pytest.mark.parametrize("n,m", [(8, 3), (8, 4), (8, 6), (10, 4), (10, 6)])
+    def test_seeded_scans_match_the_per_subset_scan(self, solved, n, m):
+        mats = list(self.inputs(np.random.default_rng(1600 + 10 * n + m), n, m))
+        want = [per_subset_mu(a, m) for a in mats]
+        count = solved()
+        for a, (value, subset) in zip(mats, want):
+            count.clear()
+            res = min_submatrix_eigenvalue(a, m)
+            assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+            assert value < 0.0 and sum(count) < math.comb(n, m)
+
+
 def screen_inputs(rng):
     """Kruskal inputs of order at most 10 for both paths, the borderline ones included."""
 
