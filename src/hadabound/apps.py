@@ -31,6 +31,7 @@ from .matcore import (
     least_positive,
     rank_numeric,
     require_psd,
+    solve_spectra,
     tol_for,
 )
 from .submatrix import (
@@ -338,6 +339,7 @@ def cp_bound(
     """Certified floors for the factor-model moment matrix."""
     btb = HermitianMatrix(scenario.b_load.T @ scenario.b_load)
     g_mat = HermitianMatrix(_score_gram(scenario))
+    solve_spectra(btb, g_mat)
     d2, m, kappa = floor_order(btb, tau_rel, "second loading Gram matrix")
     if rank_numeric(g_mat, tau_rel) == 0:
         raise ZeroMatrixError("score Gram matrix is numerically zero")

@@ -21,6 +21,7 @@ checks positivity of the product.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .matcore import (
     rank_numeric,
     require_psd,
     same_size,
+    solve_spectra,
     tol_for,
 )
 from .submatrix import (
@@ -48,9 +50,14 @@ from .submatrix import (
 )
 
 
-def _psd_pair(a, b, tau_rel: float) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """Carriers of two same-size factors, the first and then the second checked PSD."""
+def _psd_pair(a, b, tau_rel: float, *also) -> tuple[HermitianMatrix, HermitianMatrix]:
+    """Carriers of two same-size factors, the first and then the second checked PSD.
+
+    Their spectra are solved together, with those of the carriers each
+    function in also builds from the two (such as hadamard), before any check.
+    """
     am, bm = same_size(a, b)
+    solve_spectra(am, bm, *(functools.partial(build, am, bm) for build in also))
     return require_psd(am, tau_rel, "first factor"), require_psd(bm, tau_rel, "second factor")
 
 
@@ -107,7 +114,7 @@ def quantitative_bound(
     strictly positive whenever every principal submatrix of A of order m
     is positive definite and B has a positive diagonal.
     """
-    am, bm = _psd_pair(a, b, tau_rel)
+    am, bm = _psd_pair(a, b, tau_rel, hadamard)
     n = am.n
     r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
     mu = floor_mu(am, m, tau_rel, budget)
@@ -299,12 +306,16 @@ def projection_certificate(
         raise DimensionError(f"operand sizes differ: {cm.n} vs {arr.shape[0]}")
     if rank < 1:
         raise NotProjectionError("projection rank must be at least 1")
-    mu = floor_mu(cm, cm.n - rank + 1, tau_rel, budget)
-    threshold = -tol_for(float(np.max(np.abs(cm.entries))), tau_rel)
     # P passed the projection check's symmetry test; a carrier of P would
     # test it again at the stricter carrier tolerance, so C o P is formed
     # as hadamard forms it, from the entries.
-    product = HermitianMatrix.derived("entrywise product C o P", lambda: cm.entries * arr)
+    make_product = functools.partial(
+        HermitianMatrix.derived, "entrywise product C o P", lambda: cm.entries * arr
+    )
+    solve_spectra(cm, make_product)
+    mu = floor_mu(cm, cm.n - rank + 1, tau_rel, budget)
+    threshold = -tol_for(float(np.max(np.abs(cm.entries))), tau_rel)
+    product = make_product()
     lam = float(eigvals_hermitian(product)[-1])
     return ProjectionCertificate(
         hypothesis_holds=bool(mu >= threshold),
@@ -346,6 +357,7 @@ def indefinite_certificate(
 ) -> IndefiniteCertificate:
     """Evaluate the submatrix floor hypothesis for Hermitian C against PSD B."""
     cm, bm = same_size(c, b)
+    solve_spectra(cm, bm, functools.partial(hadamard, cm, bm))
     r_b, m, kappa = floor_order(bm, tau_rel, "second factor")
     mu = min_submatrix_eigenvalue(cm, m, budget).value
     lam_c = float(eigvals_hermitian(cm)[-1])

@@ -43,6 +43,7 @@ from .matcore import (
     finite_matrix,
     hadamard,
     same_size,
+    solve_spectra,
     tol_for,
 )
 from .submatrix import (
@@ -269,8 +270,8 @@ def _cmd_bound(args) -> tuple[dict, list]:
 def _cmd_classical(args) -> tuple[dict, list]:
     from .certify import classical_bound
 
-    a = _from_file(args.a)
-    b = _from_file(args.b)
+    a, b = same_size(_from_file(args.a), _from_file(args.b))
+    solve_spectra(a, b, lambda: hadamard(a, b))
     value = classical_bound(a, b, args.tol)
     vals = eigvals_hermitian(hadamard(a, b))
     ok = value <= vals[-1] + tol_for(vals[0], args.tol)

@@ -10,17 +10,20 @@ independent oracles in the test suite instead.
 stack_eigvals is the one eigenvalue routine for arrays: orders 1 and 2 in
 closed form across the stack, larger orders through one driver, _jacobi,
 which runs the iteration on a stack of blocks of one order. A single
-matrix (a carrier's spectrum, eig_hermitian) is a stack of one, the
-subset scans pass whole stacks. Thresholds, norms and convergence are per
-block, and a sweep over the stack is the single-matrix sweep vectorized
-across it, so each block's spectrum is bit-identical to its solve alone.
-Every block runs to convergence, so the solver is a pure function of its
-stack. The single-matrix sweep rotates each pair of rows or columns in
-place; the stack sweep assigns fresh products. Both keep every complex
-coefficient the left operand of its product, because numpy's complex
-multiply may be fused and is then not symmetric in the last bit. A block
-whose squared norm would overflow or underflow is solved scaled by an
-exact power of two and scaled back.
+matrix (eig_hermitian) is a stack of one, the subset scans pass whole
+stacks, and solve_spectra stacks the carriers of one call. Thresholds,
+norms and convergence are per block, and every block takes the same
+steps whatever stack it came in, so each block's spectrum is
+bit-identical to its solve alone. Every block runs to convergence, so the
+solver is a pure function of its stack. It has two sweeps. The lockstep
+sweep, for stacks of at most LOCKSTEP_MAX live blocks, works out each
+block's rotation in Python floats and rotates the pairs of rows and
+columns of the whole stack in place; the vectorized sweep, for larger
+stacks, works out the rotations as arrays and assigns fresh products.
+Both keep every complex coefficient the left operand of its product,
+because numpy's complex multiply may be fused and is then not symmetric
+in the last bit. A block whose squared norm would overflow or underflow
+is solved scaled by an exact power of two and scaled back.
 
 Every decision that a block needs no solve goes through one stacked
 Cholesky kernel instead. least_pivots runs a floating-point Cholesky of
@@ -39,7 +42,9 @@ complex128 bytes of the matrix and the order asked for, serves both
 across calls and carriers. The solver reads nothing but those bytes, so a
 hit returns the bits a fresh solve would. The keys it holds stay within
 MEMO_KEY_BYTES in total, the least recently used leaving first. is_psd's
-solve, eig_hermitian and raised errors are not stored.
+solve, eig_hermitian and raised errors are not stored. A call that needs
+the spectra of several carriers, such as A, B and A o B, first stores
+them through solve_spectra, which solves them as one stack per order.
 
 Each precondition on an input is decided in one function here:
 finite_matrix (2-D, nonempty, finite, and square unless asked otherwise),
@@ -86,6 +91,8 @@ JACOBI_MAX_SWEEPS = 100
 TRACE_ROUND_GUARD = 1e-6
 # Total bytes of the keys the content memo holds: about 40 matrices of order 40.
 MEMO_KEY_BYTES = 1 << 20
+# Jacobi stacks of at most this many live blocks are swept in lockstep (_lockstep).
+LOCKSTEP_MAX = 12
 
 
 def tol_for(scale, tau_rel: float = DEFAULT_TOL_REL):
@@ -316,7 +323,7 @@ def solved_once(kind: str, order: int, entries: np.ndarray, solve):
     value must be immutable, as every caller gets the same object. An
     exception from solve() is raised and nothing is stored.
     """
-    key = (kind, order, np.asarray(entries, dtype=np.complex128).tobytes())
+    key = _memo_key(kind, order, entries)
     value = _MEMO.get(key)
     if value is None:
         value = solve()
@@ -324,80 +331,161 @@ def solved_once(kind: str, order: int, entries: np.ndarray, solve):
     return value
 
 
-def _rotate(pair: np.ndarray, coef: np.ndarray, prod: np.ndarray, halves) -> None:
-    """Mix the two rows of a (2, n) view in place, through a (2, 2, n) scratch.
+def _memo_key(kind: str, order: int, entries: np.ndarray) -> tuple:
+    """The content memo's key: kind, order and the entries' complex128 C-order bytes."""
+    return kind, order, np.asarray(entries, dtype=np.complex128).tobytes()
 
-    Row i becomes coef[i, 0] * pair[0] + coef[i, 1] * pair[1]; coef is
-    (2, 2, 1) and each coefficient is the left operand of its product.
-    halves is (prod[:, 0], prod[:, 1]), built once by the caller.
+
+def solve_spectra(*carriers) -> None:
+    """Store the spectra of several carriers in the content memo, solved as stacks.
+
+    Each argument is a HermitianMatrix, or a function of no arguments that
+    builds one, such as a product that may overflow: one that raises
+    NonFiniteError is left out, for its caller to raise where it would.
+    Carriers already solved, held in the memo or too large for it are
+    skipped. The rest are grouped by order, and each group of two or more
+    is solved by one stack_eigvals call, its rows stored under the keys
+    HermitianMatrix.eigenvalues reads. A block's spectrum does not depend
+    on the stack it came in, so each carrier then reads the bits a lone
+    solve gives. Nothing is raised: on a ConvergenceError nothing is
+    stored, and each carrier's own solve raises it where it would have.
     """
-    np.multiply(coef, pair, out=prod)
-    np.add(*halves, out=pair)
-
-
-def _scalar_sweep(w: np.ndarray, skip_tol: float, v: np.ndarray | None) -> None:
-    """One cyclic Jacobi sweep over one matrix, in place; rotates v's columns too.
-
-    Each step annihilates one off-diagonal pair with a 2x2 unitary rotation,
-    visiting the upper triangle in row-major order. Rotations on entries of
-    at most skip_tol cannot move the off-diagonal mass above the
-    convergence threshold, so they are skipped.
-
-    Columns p and q, then rows p and q, then v's columns p and q are each
-    rotated in place through one strided (2, n) view: one multiply and one
-    add per pair, into views of one scratch built once per sweep. The
-    imaginary parts of the two diagonal entries are cleared through a view
-    of w.imag. The result is bit-identical to assigning fresh products
-    of copies, c * x + (s * phase) * y, because every product keeps its
-    operand order, the complex coefficient on the left. numpy's complex
-    multiply may be fused (FMA) and is then not symmetric in the last bit:
-    coef * x and x * coef can differ. The coefficients are numpy scalar
-    products of a real and a complex number; the real steps before them are
-    IEEE arithmetic, which Python floats round the same way.
-    """
-    n = w.shape[0]
-    prod = np.empty((2, 2, n), dtype=np.complex128)
-    halves = prod[:, 0], prod[:, 1]
-    # The 2x2 coefficients of the column rotation, then of the row rotation.
-    coef = np.empty(8, dtype=np.complex128)
-    col_coef = coef[:4].reshape(2, 2, 1)
-    row_coef = coef[4:].reshape(2, 2, 1)
-    rows = list(w)
-    wt = w.T
-    w_imag = w.imag
-    vt = None if v is None else v.T
-    for p in range(n - 1):
-        row_p = rows[p]
-        for q in range(p + 1, n):
-            apq = row_p[q]
-            r = float(abs(apq))
-            if r <= skip_tol:
+    groups: dict[int, dict] = {}
+    for carrier in carriers:
+        if callable(carrier):
+            try:
+                carrier = carrier()
+            except NonFiniteError:
                 continue
-            row_q = rows[q]
-            phase = apq / r
-            phase_conj = np.conj(phase)
-            app = float(row_p[p].real)
-            aqq = float(row_q[q].real)
-            tau = (aqq - app) / (2.0 * r)
-            t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            # Right multiply by the rotation: columns p and q mix.
-            coef[0] = coef[3] = coef[4] = coef[7] = c
-            coef[1] = s * phase_conj
-            coef[2] = -s * phase
-            pq = slice(p, q + 1, q - p)  # rows (or columns) p and q as one view
-            _rotate(wt[pq], col_coef, prod, halves)
-            # Left multiply by its conjugate transpose: rows p and q mix.
-            coef[5] = s * phase
-            coef[6] = -s * phase_conj
-            _rotate(w[pq], row_coef, prod, halves)
-            w[p, q] = 0.0
-            w[q, p] = 0.0
-            w_imag[p, p] = 0.0
-            w_imag[q, q] = 0.0
-            if vt is not None:
-                _rotate(vt[pq], col_coef, prod, halves)
+        key = _memo_key("spectrum", carrier.n, carrier.entries)
+        held = len(key[2]) > _MEMO.cap or _MEMO.get(key) is not None
+        if held or "eigenvalues" in vars(carrier):
+            continue
+        groups.setdefault(carrier.n, {})[key] = carrier.entries
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        try:
+            stack = stack_eigvals(np.array(list(group.values())))
+        except ConvergenceError:
+            continue
+        stack.setflags(write=False)  # as HermitianMatrix.eigenvalues stores its row
+        for key, row in zip(group, stack):
+            _MEMO.put(key, row)
+
+
+def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
+    """A function that runs one cyclic Jacobi sweep over a small stack, in place.
+
+    Each step annihilates one off-diagonal pair of every block with a 2x2
+    unitary rotation, visiting the upper triangle in row-major order.
+    Rotations on entries of at most the block's skip_tol cannot move its
+    off-diagonal mass above the convergence threshold, so they are skipped.
+    v, the eigenvector columns of a stack of one, is rotated with its
+    block's columns.
+
+    Each block works out its own rotation in Python floats and numpy
+    scalars. When every block rotates at (p, q), one multiply and one add
+    mix the whole stack's columns p and q, through strided (k, 2, n) views
+    and a (k, 2, 2, 1) array of coefficients; then the same for rows p and
+    q, and v's columns p and q. When only some rotate, each of those is
+    mixed alone. Either way a block's result does not depend on the stack
+    it came in. The views are built here, once per stack, so that a step
+    costs the interpreter a few calls whatever k is.
+
+    The result is bit-identical to assigning fresh products of copies,
+    c * x + (s * phase) * y, because every product keeps its operand order,
+    the complex coefficient on the left. numpy's complex multiply may be
+    fused (FMA) and is then not symmetric in the last bit: coef * x and
+    x * coef can differ. The coefficients are numpy scalar products of a
+    real and a complex number; the real steps before them are IEEE
+    arithmetic, which Python floats round the same way.
+    """
+    k, n = w.shape[0], w.shape[1]
+    # Per block, the 2x2 coefficients of the column rotation, then of the row rotation.
+    coef = np.empty((k, 2, 2, 2, 1), dtype=np.complex128)
+    col_coef, row_coef = coef[:, 0], coef[:, 1]
+    cells = list(coef.reshape(k, 8))
+    rows = [list(block) for block in w]
+    tols = skip_tol.tolist()
+    prod = np.empty((k, 2, 2, n), dtype=np.complex128)
+    halves = prod[:, :, 0], prod[:, :, 1]
+    alone = [
+        (col_coef[i], row_coef[i], prod[i], (prod[i, :, 0], prod[i, :, 1])) for i in range(k)
+    ]
+    flat = w.reshape(k, n * n)
+    flat_imag = flat.imag
+    wt = w.transpose(0, 2, 1)
+    vt = None if v is None else v.T[None]
+    steps = []
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            d = q - p
+            pq = slice(p, q + 1, d)  # rows (or columns) p and q as one view
+            cols, rws = wt[:, pq], w[:, pq]
+            vcols = None if vt is None else vt[:, pq]
+            steps.append((
+                p,
+                q,
+                cols,
+                cols[:, None],
+                rws,
+                rws[:, None],
+                flat[:, p * n + q : q * n + p + 1 : d * (n - 1)],  # w[p, q] and w[q, p]
+                flat_imag[:, p * (n + 1) : q * (n + 1) + 1 : d * (n + 1)],  # Im w[p, p], w[q, q]
+                vcols,
+                None if vcols is None else vcols[:, None],
+            ))
+    blocks = list(zip(range(k), rows, tols, cells))
+
+    def sweep() -> None:
+        for p, q, cols, cols4, rws, rws4, off, diag_imag, vcols, vcols4 in steps:
+            turning = []
+            for i, block_rows, tol, cell in blocks:
+                row_p = block_rows[p]
+                apq = row_p[q]
+                r = float(abs(apq))
+                if r <= tol:
+                    continue
+                phase = apq / r
+                phase_conj = np.conj(phase)
+                app = float(row_p[p].real)
+                aqq = float(block_rows[q][q].real)
+                tau = (aqq - app) / (2.0 * r)
+                t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                # Right multiply by the rotation (columns p and q mix), then
+                # left multiply by its conjugate transpose (rows p and q).
+                cell[0] = cell[3] = cell[4] = cell[7] = c
+                cell[1] = s * phase_conj
+                cell[2] = -s * phase
+                cell[5] = s * phase
+                cell[6] = -s * phase_conj
+                turning.append(i)
+            if len(turning) == k:
+                np.multiply(col_coef, cols4, out=prod)
+                np.add(*halves, out=cols)
+                np.multiply(row_coef, rws4, out=prod)
+                np.add(*halves, out=rws)
+                off.fill(0.0)
+                diag_imag.fill(0.0)
+                if vcols is not None:
+                    np.multiply(col_coef, vcols4, out=prod)
+                    np.add(*halves, out=vcols)
+                continue
+            for i in turning:
+                col_c, row_c, prod_i, halves_i = alone[i]
+                pair = cols[i]
+                np.multiply(col_c, pair, out=prod_i)
+                np.add(*halves_i, out=pair)
+                pair = rws[i]
+                np.multiply(row_c, pair, out=prod_i)
+                np.add(*halves_i, out=pair)
+                off[i] = 0.0
+                diag_imag[i] = 0.0
+
+    return sweep
 
 
 def _frobenius(w: np.ndarray) -> np.ndarray:
@@ -623,8 +711,10 @@ def _hypot_one(x: np.ndarray) -> np.ndarray:
 def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
     """One cyclic Jacobi sweep over every block of a stack, in place.
 
-    The steps of _scalar_sweep, elementwise across the stack: a block
-    whose |a_pq| is at most its skip_tol is left as it is at (p, q).
+    The steps of _lockstep's sweep, elementwise across the stack, the 2x2
+    rotations included: a block whose |a_pq| is at most its skip_tol is
+    left as it is at (p, q). Its fixed cost per step is about that of
+    LOCKSTEP_MAX blocks in lockstep, so it sweeps the larger stacks.
     """
     n = w.shape[1]
     for p in range(n - 1):
@@ -645,7 +735,7 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
             t = -np.copysign(1.0, tau) / (np.abs(tau) + _hypot_one(tau))
             c = 1.0 / _hypot_one(t)
             s = t * c
-            # The scalar sweep's products: each coefficient, such as
+            # The lockstep sweep's products: each coefficient, such as
             # s * phase, is the left operand of its product.
             c = c[:, None]
             phase_conj = np.conj(phase)
@@ -673,11 +763,12 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     Returns each block's diagonal at convergence, unsorted. A block has
     converged when, at the start of a sweep, its off-diagonal Frobenius
     mass is at most 1e-14 times its own ||A||_F; it then leaves the stack.
-    The sweep count is capped at 100. While two or more blocks are live
-    they are swept together by _stack_sweep; a lone block is swept by
-    _scalar_sweep, which also rotates the eigenvector columns v of a stack
-    of one. Both sweeps are the same steps per block, so a block's result
-    does not depend on the stack it came in.
+    The sweep count is capped at 100. While more than LOCKSTEP_MAX blocks
+    are live they are swept by _stack_sweep; from then on by _lockstep,
+    whose views are built again each time a block leaves, and which also
+    rotates the eigenvector columns v of a stack of one. Both sweeps are
+    the same steps per block, so a block's result does not depend on the
+    stack it came in.
 
     A block whose norm lies outside NORM_BAND is solved scaled by a power
     of two (see _band_exponents), and its diagonal is scaled back.
@@ -692,6 +783,7 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     skip_tol = off_tol / n
     diag = np.empty((k, n))
     live = np.arange(k)
+    sweep = None
     for _ in range(JACOBI_MAX_SWEEPS):
         done = _off_mass(w) <= off_tol
         if done.any():
@@ -700,10 +792,13 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
                 return diag if exp is None else np.ldexp(diag, exp[:, None])
             keep = ~done
             w, off_tol, skip_tol, live = w[keep], off_tol[keep], skip_tol[keep], live[keep]
-        if live.size == 1:
-            _scalar_sweep(w[0], float(skip_tol[0]), v)
-        else:
+            sweep = None
+        if live.size > LOCKSTEP_MAX:
             _stack_sweep(w, skip_tol)
+        else:
+            if sweep is None:
+                sweep = _lockstep(w, skip_tol, v)
+            sweep()
     raise ConvergenceError(
         f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps"
     )

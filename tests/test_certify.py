@@ -25,7 +25,9 @@ from hadabound.certify import (
 )
 from hadabound.errors import (
     BudgetExceededError,
+    ConvergenceError,
     DimensionError,
+    NonFiniteError,
     NotProjectionError,
     NotPsdError,
     ZeroMatrixError,
@@ -472,6 +474,86 @@ class TestSolveCounts:
         a = random_psd_with_kruskal(np.random.default_rng(62), self.N, 4, 4)
         shift_construction(a, b, 1.0)
         assert sum(np.array_equal(arr, a.entries) for arr in solves) == 1
+
+
+class TestCarrierBatch:
+    """Each call solves its carriers' spectra as one stack, and raises what it raised before."""
+
+    N = 6
+    pair = TestSolveCounts.pair
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The (blocks, order) shape of every Jacobi solve, from a cleared memo."""
+        matcore._MEMO.clear()
+        real = matcore._jacobi
+        shapes = []
+
+        def counting(w, v=None):
+            shapes.append(w.shape[:2])
+            return real(w, v)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "call,blocks",
+        [
+            (quantitative_bound, 3),
+            (classical_bound, 2),
+            (nonsingularity_predicate, 2),
+            (indefinite_certificate, 3),
+            (lambda a, b: shift_construction(a, b, 1.0), 2),
+        ],
+        ids=[
+            "quantitative_bound",
+            "classical_bound",
+            "nonsingularity_predicate",
+            "indefinite_certificate",
+            "shift_construction",
+        ],
+    )
+    def test_full_size_spectra_are_one_stack(self, stacks, call, blocks):
+        a, b = self.pair()
+        call(a, b)
+        assert [k for k, n in stacks if n == self.N] == [blocks]
+
+    def test_projection_certificate_stacks_c_and_the_product(self, stacks):
+        a, _ = self.pair()
+        projection_certificate(a, random_projection(np.random.default_rng(63), self.N, 3))
+        assert [k for k, n in stacks if n == self.N] == [2]
+
+    def test_sweep_cap_raises_the_lone_solves_error(self, stacks, monkeypatch):
+        a, b = self.pair()
+        monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as lone:
+            matcore.stack_eigvals(a[None])
+        stacks.clear()
+        with pytest.raises(ConvergenceError) as err:
+            quantitative_bound(a, b)
+        assert str(err.value) == str(lone.value)
+        # The stack of three failed and stored nothing; then A failed alone.
+        assert stacks == [(3, self.N), (1, self.N)]
+
+    def test_non_psd_first_factor_is_named_first(self, stacks):
+        a, b = self.pair()
+        for second in (b, -b):
+            with pytest.raises(NotPsdError) as err:
+                quantitative_bound(-a, second)
+            witness = float(np.linalg.eigvalsh(-a)[0])
+            assert str(err.value).startswith("first factor must be positive semidefinite")
+            assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(witness)
+
+    def test_overflowing_product_raises_where_it_did(self, stacks):
+        a, b = self.pair()
+        a, b = a * 1e160, b * 1e160
+        with pytest.raises(BudgetExceededError):  # the budget is checked first
+            quantitative_bound(a, b, budget=1)
+        with pytest.raises(NonFiniteError) as err:
+            quantitative_bound(a, b)
+        assert str(err.value) == "entrywise product A o B overflows: it has a NaN or infinite entry"
+        # The product is left out of the stack; A and B are still solved together.
+        assert [k for k, n in stacks if n == self.N] == [2]
 
 
 def hermitian_gram(rng, r, n):

@@ -454,36 +454,54 @@ class TestStackEigvals:
             warnings.simplefilter("error")
             self.assert_rows_match(stack)
 
-    def test_lone_live_block_takes_the_scalar_sweep(self, monkeypatch):
-        """Once one block is live, the scalar kernel sweeps it, with the same bits."""
+    def test_small_live_stacks_take_the_lockstep_sweep(self, monkeypatch):
+        """Above LOCKSTEP_MAX live blocks the vectorized sweep runs, at or below it the lockstep one.
+
+        The lockstep views are built once per live set, and every block
+        keeps the bits of its lone solve.
+        """
         rng = np.random.default_rng(945)
         m = 6
-        near_diagonal = np.diag(rng.normal(size=m)) + 1e-6 * random_hermitian(rng, m)
+        cap = matcore.LOCKSTEP_MAX
+        near_diagonal = [
+            np.diag(rng.normal(size=m)) + 1e-6 * random_hermitian(rng, m) for _ in range(6)
+        ]
+        dense = [random_hermitian(rng, m) for _ in range(cap - 2)]
         stack = np.array([
             self.block(rng, "zero", m),
             self.block(rng, "diagonal", m),
-            near_diagonal,
-            random_hermitian(rng, m),
+            *near_diagonal,
+            *dense,
         ])
-        sweeps = []
-        stack_sweep, scalar_sweep = matcore._stack_sweep, matcore._scalar_sweep
+        sweeps, builds = [], []
+        stack_sweep, lockstep = matcore._stack_sweep, matcore._lockstep
 
         def counting_stack(w, skip_tol):
             sweeps.append(("stack", w.shape[0]))
             return stack_sweep(w, skip_tol)
 
-        def counting_scalar(w, skip_tol, v):
-            sweeps.append(("scalar", 1))
-            return scalar_sweep(w, skip_tol, v)
+        def counting_lockstep(w, skip_tol, v=None):
+            builds.append(w.shape[0])
+            sweep = lockstep(w, skip_tol, v)
+
+            def counting_sweep():
+                sweeps.append(("lockstep", w.shape[0]))
+                return sweep()
+
+            return counting_sweep
 
         monkeypatch.setattr(matcore, "_stack_sweep", counting_stack)
-        monkeypatch.setattr(matcore, "_scalar_sweep", counting_scalar)
+        monkeypatch.setattr(matcore, "_lockstep", counting_lockstep)
         vals = stack_eigvals(stack)
         kinds = [kind for kind, _ in sweeps]
-        # The zero and diagonal blocks leave before the first sweep; the
-        # near-diagonal block a few sweeps before the dense one.
-        assert set(sweeps) == {("stack", 2), ("scalar", 1)}
-        assert kinds == sorted(kinds, key=["stack", "scalar"].index)
+        # The zero and diagonal blocks leave before the first sweep, the
+        # near-diagonal ones a few sweeps before the dense ones.
+        assert ("stack", len(stack) - 2) in sweeps
+        assert ("lockstep", cap - 2) in sweeps
+        assert kinds == sorted(kinds, key=["stack", "lockstep"].index)
+        assert all((k > cap) == (kind == "stack") for kind, k in sweeps)
+        lockstep_sizes = [k for kind, k in sweeps if kind == "lockstep"]
+        assert builds == sorted(set(lockstep_sizes), reverse=True)
         for i, blk in enumerate(stack):
             assert vals[i].tobytes() == stack_eigvals(blk[None])[0].tobytes()
 
@@ -570,6 +588,79 @@ class TestContentMemo:
         assert solved[-2:] == [0, 0] and tiny.size == 0 and not tiny.entries
 
 
+class TestSolveSpectra:
+    """Carriers' spectra solved as one stack read the bits of their lone solves."""
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        """The block count of every stack_eigvals call, from a cleared memo."""
+        matcore._MEMO.clear()
+        real = matcore.stack_eigvals
+        calls = []
+
+        def counting(blocks):
+            calls.append(len(blocks))
+            return real(blocks)
+
+        monkeypatch.setattr(matcore, "stack_eigvals", counting)
+        return calls
+
+    @staticmethod
+    def arrays(m):
+        """The TestStackEigvals kinds, a near-Hermitian block and two far outside NORM_BAND."""
+        rng = np.random.default_rng(1480 + m)
+        mats = [TestStackEigvals.block(rng, kind, m) for kind in TestStackEigvals.KINDS]
+        noise = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        mats.append(random_hermitian(rng, m) + 1e-14 * noise)
+        mats += [random_hermitian(rng, m) * 1e200, random_hermitian(rng, m) * 1e-200]
+        return mats
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_each_spectrum_is_its_lone_solve(self, stack_calls, m):
+        mats = self.arrays(m)
+        lone = [matcore.stack_eigvals(a[None])[0] for a in mats]
+        matcore._MEMO.clear()
+        stack_calls.clear()
+        carriers = [HermitianMatrix(a) for a in mats]
+        matcore.solve_spectra(*carriers)
+        assert stack_calls == [len(mats)]  # one stack; no carrier solves on its own
+        for carrier, want in zip(carriers, lone):
+            assert carrier.eigenvalues.tobytes() == want.tobytes()  # signed zeros too
+        assert stack_calls == [len(mats)]
+
+    def test_a_second_call_solves_nothing(self, stack_calls):
+        mats = self.arrays(5)
+        carriers = [HermitianMatrix(a) for a in mats]
+        matcore.solve_spectra(*carriers)
+        matcore.solve_spectra(*(HermitianMatrix(a) for a in mats))  # held in the memo
+        spectra = [carrier.eigenvalues for carrier in carriers]
+        matcore._MEMO.clear()
+        matcore.solve_spectra(*carriers)  # each carrier keeps its own spectrum
+        assert stack_calls == [len(mats)]
+        assert all(c.eigenvalues is vals for c, vals in zip(carriers, spectra))
+
+    def test_groups_by_order_and_leaves_lone_carriers_alone(self, stack_calls):
+        rng = np.random.default_rng(1490)
+        a4, b4, c5 = (HermitianMatrix(random_hermitian(rng, n)) for n in (4, 4, 5))
+
+        def overflowing():
+            return hadamard(A * 1e200, A * 1e200)
+
+        matcore.solve_spectra(a4, c5, overflowing, b4, a4)
+        assert stack_calls == [2]
+        for carrier in (a4, b4, c5):
+            assert carrier.eigenvalues.tobytes() == stack_eigvals(carrier.entries[None])[0].tobytes()
+
+    def test_a_failed_solve_stores_nothing(self, stack_calls, monkeypatch):
+        monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(1491)
+        carriers = [HermitianMatrix(random_hermitian(rng, 6)) for _ in range(3)]
+        matcore.solve_spectra(*carriers)
+        assert stack_calls == [3] and not matcore._MEMO.entries
+        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+            carriers[0].eigenvalues
+
+
 class TestOutOfBandNorms:
     """Blocks whose squared norm overflows or underflows, scaled by a power of two."""
 
@@ -650,8 +741,28 @@ def reference_scalar_sweep(w, skip_tol, v):
                 v[:, q] = -s * phase * vp + c * vq
 
 
+def reference_solve(a, vectors):
+    """(eigenvalues, eigenvector columns or None) of the reference sweep, unsorted.
+
+    reference_scalar_sweep driven sweep by sweep under _jacobi's
+    convergence test, for one matrix whose norm lies in NORM_BAND.
+    """
+    w = np.array(a, dtype=np.complex128)[None]
+    n = w.shape[1]
+    v = np.eye(n, dtype=np.complex128) if vectors else None
+    fro = matcore._frobenius(w)
+    assert matcore.NORM_BAND[0] <= fro[0] <= matcore.NORM_BAND[1]
+    off_tol = matcore.JACOBI_OFF_REL * fro
+    skip_tol = off_tol / n
+    for _ in range(matcore.JACOBI_MAX_SWEEPS):
+        if matcore._off_mass(w)[0] <= off_tol[0]:
+            return w[0].diagonal().real.copy(), v
+        reference_scalar_sweep(w[0], float(skip_tol[0]), v)
+    raise AssertionError("the reference sweep did not converge")
+
+
 class TestScalarSweepReference:
-    """The in-place scalar sweep against the frozen reference loop, bit for bit."""
+    """The solver against the frozen reference loop, bit for bit, alone and in lockstep stacks."""
 
     KINDS = ("complex", "real", "near_hermitian", "diagonal", "ones", "huge", "tiny")
     # Every kind at every order up to 12 and at 16 and 17; the larger
@@ -675,22 +786,29 @@ class TestScalarSweepReference:
         return random_hermitian(rng, n, scale)
 
     @staticmethod
-    def solves(a):
-        dec = eig_hermitian(a)
-        return dec.eigenvalues, dec.eigenvectors, stack_eigvals(a[None])[0]
+    def assert_bits(x, y, where):
+        bits = np.ascontiguousarray(x).view(np.uint64)
+        assert np.array_equal(bits, np.ascontiguousarray(y).view(np.uint64)), where
 
     @pytest.mark.parametrize("n", ORDERS)
-    def test_spectra_match_the_reference(self, monkeypatch, n):
+    def test_spectra_match_the_reference(self, n):
         rng = np.random.default_rng(960 + n)
-        for kind in self.KINDS if n <= 17 else self.LARGE_KINDS:
-            a = self.matrix(rng, kind, n)
-            got = self.solves(a)
-            with monkeypatch.context() as patched:
-                patched.setattr(matcore, "_scalar_sweep", reference_scalar_sweep)
-                want = self.solves(a)
-            for x, y in zip(got, want):
-                bits = np.ascontiguousarray(x).view(np.uint64)
-                assert np.array_equal(bits, np.ascontiguousarray(y).view(np.uint64)), (kind, n)
+        mats = [self.matrix(rng, kind, n) for kind in self.kinds(n)]
+        for kind, a in zip(self.kinds(n), mats):
+            diag, v = reference_solve(a, vectors=True)
+            order = np.argsort(-diag, kind="stable")
+            dec = eig_hermitian(a)
+            self.assert_bits(dec.eigenvalues, diag[order], (kind, n))
+            self.assert_bits(dec.eigenvectors, v[:, order], (kind, n))
+            self.assert_bits(stack_eigvals(a[None])[0], np.sort(diag)[::-1], (kind, n))
+        # Every kind of this order in one stack, at most LOCKSTEP_MAX blocks:
+        # some rotate at a step and some skip it, and some leave early.
+        assert len(mats) <= matcore.LOCKSTEP_MAX
+        for kind, a, row in zip(self.kinds(n), mats, stack_eigvals(np.array(mats))):
+            self.assert_bits(row, np.sort(reference_solve(a, vectors=False)[0])[::-1], (kind, n))
+
+    def kinds(self, n):
+        return self.KINDS if n <= 17 else self.LARGE_KINDS
 
 
 def lapack_least(block, uplo="L"):

@@ -5,7 +5,10 @@ test here pins what it counts on a small synthetic module. The import
 guard stands in for a linter: a relative import whose name its module
 never uses fails. The public-name guard keeps the public API to what is
 used: a module-level public def, class or constant that no source, test,
-benchmark or README line names, apart from its own definition, fails.
+benchmark or README line names, apart from its own definition, fails. The
+dead-code guard does the same for private helpers within their module: a
+module-level def or class with a leading underscore (dunders aside) that
+the rest of its module never names fails, whatever tests may name it.
 """
 
 import ast
@@ -110,3 +113,32 @@ def test_every_public_name_is_named_elsewhere(module):
     files = [p for p in [*files, ROOT / "README.md"] if p != own]
     elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in files)
     assert unreferenced_public_names(own.read_text(encoding="utf-8"), elsewhere) == []
+
+
+def unnamed_private_defs(source: str) -> list[str]:
+    """Private module-level defs and classes, dunders aside, that the rest of source never names."""
+    lines = source.splitlines()
+    unnamed = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+        if not re.search(rf"\b{name}\b", rest):
+            unnamed.append(name)
+    return unnamed
+
+
+def test_dead_code_guard_finds_an_unnamed_private_def():
+    source = (
+        "def _used():\n    return 1\n\n\ndef _dead():\n    \"\"\"_dead names itself.\"\"\"\n\n\n"
+        "class _Gone:\n    pass\n\n\ndef __getattr__(name):\n    return _used()\n"
+    )
+    assert unnamed_private_defs(source) == ["_dead", "_Gone"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_private_def_is_named_in_its_module(module):
+    assert unnamed_private_defs((PACKAGE / module).read_text(encoding="utf-8")) == []
