@@ -72,9 +72,7 @@ class DoaScenario:
             raise ValueError(f"source count {self.K} must be below sensor count {self.N}")
         if len(self.omega) != self.K:
             raise ValueError(f"expected {self.K} frequencies, got {len(self.omega)}")
-        for w in self.omega:
-            if not -math.pi <= w < math.pi:
-                raise ValueError(f"frequency {w!r} outside [-pi, pi)")
+        _check_frequencies(self.omega)
         for i in range(self.K):
             for j in range(i + 1, self.K):
                 if abs(self.omega[i] - self.omega[j]) <= MIN_FREQUENCY_GAP:
@@ -84,6 +82,13 @@ class DoaScenario:
             raise DimensionError(f"covariance must be {self.K} x {self.K}, got {sig.n}")
         require_psd(sig, DEFAULT_TOL_REL, "source covariance")
         object.__setattr__(self, "sigma_s", sig)
+
+
+def _check_frequencies(omega) -> None:
+    """Refuse, naming the first as a plain float, a frequency outside [-pi, pi)."""
+    for w in omega:
+        if not -math.pi <= w < math.pi:
+            raise ValueError(f"frequency {float(w)!r} outside [-pi, pi)")
 
 
 def _check_size(scenario: DoaScenario, budget: int) -> None:
@@ -105,9 +110,7 @@ def build_steering(n: int, omega) -> np.ndarray:
     freqs = np.asarray([float(w) for w in omega], dtype=np.float64)
     if n < 1:
         raise ValueError("steering matrix needs at least one row")
-    for w in freqs:
-        if not -math.pi <= w < math.pi:
-            raise ValueError(f"frequency {w!r} outside [-pi, pi)")
+    _check_frequencies(freqs)
     return np.exp(1j * np.outer(np.arange(n), freqs))
 
 

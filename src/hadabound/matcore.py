@@ -103,8 +103,8 @@ def tol_for(scale, tau_rel: float = DEFAULT_TOL_REL):
     the matrix in question (its largest eigenvalue or entry). There is no
     absolute floor, so the rule is scale-free: tol_for(2^k s) is exactly
     2^k tol_for(s) away from underflow and overflow. A negative scale
-    gives 0. The rule is nondecreasing in scale, which the Kruskal screen
-    relies on (submatrix._AnyDependent.cleared).
+    gives 0. The rule is nondecreasing in scale, which the screen of a
+    Kruskal level relies on (submatrix.kruskal_rank).
     """
     return tau_rel * np.maximum(0.0, scale)
 
@@ -871,7 +871,11 @@ def classify_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> PsdClassification:
     largest eigenvalue, so the zero matrix is singular and 2^k A has A's
     class.
     """
-    vals = eigvals_hermitian(a)
+    return _psd_class(eigvals_hermitian(a), tau_rel)
+
+
+def _psd_class(vals: np.ndarray, tau_rel: float) -> PsdClassification:
+    """classify_psd's verdict on a non-increasing spectrum vals."""
     tau = tol_for(vals[0], tau_rel)
     lam_min = float(vals[-1])
     if lam_min > tau:
@@ -905,15 +909,15 @@ def is_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> bool:
     clears_floor proves above bracket_margin(n) ||M||_F would come out of
     a converged solve with a positive lambda_min (the bridge in
     bracket_margin's docstring), so it is PSD by classify_psd's rule. Any
-    other matrix is solved to convergence and judged by that rule.
+    other matrix is solved to convergence and judged by that rule, which
+    _psd_class owns for both.
     """
     stack = as_hermitian(a).entries[None]
     with np.errstate(over="ignore"):
         slack = bracket_margin(stack.shape[1]) * _frobenius(stack)
     if clears_floor(stack, slack)[0]:
         return True
-    vals = stack_eigvals(stack)[0]
-    return bool(vals[-1] >= -tol_for(vals[0], tau_rel))
+    return _psd_class(stack_eigvals(stack)[0], tau_rel).is_psd
 
 
 def rank_numeric(a, tau_rel: float = DEFAULT_TOL_REL) -> int:

@@ -2,20 +2,23 @@
 
 Minimum submatrix eigenvalues, Kruskal rank, the effective condition
 number (largest positive eigenvalue over smallest positive eigenvalue),
-the floor order and subset singular-value minima. All subset scans share
-one lexicographic kernel under a hard enumeration budget, so results and
-reported argmin subsets are deterministic. Every block a scan solves runs
-to convergence; a screen decides before the solve which blocks need none,
-through the one Cholesky kernel, matcore.clears_floor.
+the floor order and subset singular-value minima. Every subset scan
+draws its blocks from one generator, _chunks, in lexicographic chunks
+under a hard enumeration budget, so results and reported argmin subsets
+are deterministic. Its two consumers, the minimum scan (_least_block)
+and a Kruskal level (in kruskal_rank), are each one explicit loop over
+those chunks. Every block a scan solves runs to convergence, through
+_solve; before the solve, the one Cholesky kernel, matcore.clears_floor,
+decides which blocks need none.
 
 A minimum scan solves one block of each chunk first, its incumbent, and
 drops every block that clears_floor proves above the least value so far
 by the solver's own error bound (see _least_block). A Kruskal level asks
 only whether every block's lambda_min clears its threshold, so it drops
-every block proved above the threshold by that bound (see
-_AnyDependent.cleared). A converged solve of a dropped block would
-neither reach the minimum nor find the block dependent, so every value,
-argmin and Kruskal rank is the one a scan that solves every block gives.
+every block proved above the threshold by that bound (see kruskal_rank).
+A converged solve of a dropped block would neither reach the minimum nor
+find the block dependent, so every value, argmin and Kruskal rank is the
+one a scan that solves every block gives.
 
 The floors read mu through floor_mu, which scans nothing when the
 matrix's numeric rank is below the order and it is positive semidefinite
@@ -98,68 +101,44 @@ def principal_submatrix(a, indices) -> HermitianMatrix:
     return HermitianMatrix((block + block.conj().T) / 2.0)
 
 
-class _AnyDependent:
-    """The rule of a Kruskal level: a block is dependent when lambda_min <= threshold(lambda_max).
+def _chunks(n: int, m: int, budget: int, blocks, whole: bool = False):
+    """The one subset scan's draw: (chunk, stack) pairs, lazily.
 
-    threshold is nondecreasing, so a bound on lambda_max bounds the
-    threshold too, which lets cleared judge a block before its solve.
-    """
-
-    def __init__(self, threshold):
-        self.threshold = threshold
-
-    def dependent(self, vals: np.ndarray) -> bool:
-        """Whether a block with the converged non-increasing spectrum vals is dependent."""
-        return bool(vals[-1] <= self.threshold(vals[0]))
-
-    def cleared(self, stack: np.ndarray) -> np.ndarray:
-        """Blocks of a (k, m, m) stack proved independent before any solve.
-
-        Each block W gets the floor threshold(U) + margin ||W||_F, with
-        margin = matcore.bracket_margin(m) and U = (1 + margin) ||W||_F,
-        which bounds every eigenvalue a converged solve of W can return. A
-        converged lambda_min lies within margin ||W||_F of the exact one
-        (the bridge in bracket_margin's docstring), so a block whose exact
-        lambda_min clears that floor (matcore.clears_floor) would leave the
-        solve with lambda_min > threshold(lambda_max): independent, as
-        dependent finds it.
-        """
-        with np.errstate(over="ignore"):
-            fro = np.linalg.norm(stack, axis=(1, 2))
-        slack = bracket_margin(stack.shape[1]) * fro
-        return clears_floor(stack, self.threshold(fro + slack) + slack)
-
-
-def _block_spectra(n: int, m: int, budget: int, blocks, *, whole: bool = False, screen=None):
-    """The one subset scan: (subset, eigenvalues) of each block it solves, lazily.
-
-    Subsets are drawn from iter_subsets in chunks, and blocks(idx) builds a
-    chunk's (k, m, m) stack from its (k, m) index array. A screen, if
-    given, maps a chunk (its list of subsets) and its stack to the mask of
-    blocks that need no solve; those are dropped and yield nothing. The
-    rest of the stack is solved at once, to convergence. A chunk is drawn
-    only when the consumer asks past the last one. By default the chunks
-    grow 1, 2, 4, ... up to SCAN_CHUNK_MAX, so a consumer that stops at the
-    first subset has drawn and solved only that one. A scan that visits
-    every subset anyway passes whole=True and draws SCAN_CHUNK_MAX subsets
-    from the first.
+    Subsets are drawn from iter_subsets in chunks, each a list of subsets,
+    and blocks(idx) builds a chunk's (k, m, m) stack from its (k, m) index
+    array. A chunk is drawn only when the consumer asks past the last one.
+    By default the chunks grow 1, 2, 4, ... up to SCAN_CHUNK_MAX, so a
+    consumer that stops at the first subset has drawn only that one. A scan
+    that visits every subset anyway passes whole=True and draws
+    SCAN_CHUNK_MAX subsets from the first.
     """
     subsets = iter_subsets(n, m, budget)
     size = SCAN_CHUNK_MAX if whole else 1
     while chunk := list(itertools.islice(subsets, size)):
-        stack = blocks(np.array(chunk))
+        yield chunk, blocks(np.array(chunk))
         size = min(2 * size, SCAN_CHUNK_MAX)
-        if screen is not None:
-            keep = ~screen(chunk, stack)
-            chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
-            if not chunk:
-                continue
-        try:
-            spectra = stack_eigvals(stack)
-        except ConvergenceError:
-            # Solve one by one, so the blocks before the failing one still come out.
-            spectra = (stack_eigvals(block[None])[0] for block in stack)
-        yield from zip(chunk, spectra)
+
+
+def _solve(stack: np.ndarray):
+    """The spectra of a stack's blocks, each solved to convergence; none for an empty stack."""
+    if not len(stack):
+        return ()
+    try:
+        return stack_eigvals(stack)
+    except ConvergenceError:
+        # Solve one by one, so the blocks before the failing one still come out.
+        return (stack_eigvals(block[None])[0] for block in stack)
+
+
+def _slack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||W||_F, bracket_margin(m) ||W||_F) of each block W of a (k, m, m) stack.
+
+    A converged solve of W returns each eigenvalue within the slack of the
+    exact one (the bridge in matcore.bracket_margin's docstring).
+    """
+    with np.errstate(over="ignore"):
+        fro = np.linalg.norm(stack, axis=(1, 2))
+    return fro, bracket_margin(stack.shape[1]) * fro
 
 
 def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int, ...]]:
@@ -167,7 +146,7 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
 
     best, the least (value, subset) solved so far, is carried across
     chunks, so equal values keep the first subset. Each chunk is screened
-    before its solve, with margin = matcore.bracket_margin(m):
+    before its solve, with slack = matcore.bracket_margin(m) ||W||_F:
 
     - its incumbent, a guess at its argmin, is solved alone and taken into
       best. It is the first block with the least Cholesky pivot
@@ -175,41 +154,32 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
       definite there. Otherwise the floor is -max ||W||_F, below every
       block's lambda_min, so that every Cholesky completes and the least
       pivot points at a block whose lambda_min lies near the bottom;
-    - every block that clears_floor proves above best + margin ||W||_F, a
-      floor of either sign, is dropped: by the bridge in bracket_margin's
-      docstring a converged solve would return a value above best, neither
-      the minimum nor a tie with it;
+    - every block that clears_floor proves above best + slack, a floor of
+      either sign, is dropped: by the bridge in bracket_margin's docstring
+      a converged solve would return a value above best, neither the
+      minimum nor a tie with it;
     - the rest are solved. A chunk of one block is solved whole, and so is
       one with no block proved positive definite but every block proved
-      above -margin ||W||_F: every block is within rounding of singular (as
-      when a positive semidefinite matrix's rank is below m), so no
-      incumbent could clear another.
+      above -slack: every block is within rounding of singular (as when a
+      positive semidefinite matrix's rank is below m), so no incumbent
+      could clear another.
     """
     best = (math.inf, ())
-
-    def screen(chunk, stack):
-        nonlocal best
-        drop = np.zeros(len(chunk), dtype=bool)
-        if len(chunk) == 1:
-            return drop
-        with np.errstate(over="ignore"):
-            fro = np.linalg.norm(stack, axis=(1, 2))
-        slack = bracket_margin(m) * fro
-        pivots = least_pivots(stack, 0.0)
-        if not np.any(pivots > 0.0):
-            if np.all(least_pivots(stack, -slack) > 0.0):
-                return drop
-            pivots = least_pivots(stack, -fro.max())
-            if not np.any(pivots > 0.0):  # orders <= 2, or norms no Cholesky clears
-                return drop
-        i = int(np.argmin(pivots))
-        best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
-        drop = clears_floor(stack, best[0] + slack)
-        drop[i] = True
-        return drop
-
-    for subset, vals in _block_spectra(n, m, budget, blocks, whole=True, screen=screen):
-        best = min(best, (float(vals[-1]), subset))
+    for chunk, stack in _chunks(n, m, budget, blocks, whole=True):
+        if len(chunk) > 1:
+            fro, slack = _slack(stack)
+            pivots = least_pivots(stack, 0.0)
+            if not np.any(pivots > 0.0) and not np.all(least_pivots(stack, -slack) > 0.0):
+                pivots = least_pivots(stack, -fro.max())
+            # None positive still: all near singular, orders <= 2, or norms no Cholesky clears.
+            if np.any(pivots > 0.0):
+                i = int(np.argmin(pivots))
+                best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
+                keep = ~clears_floor(stack, best[0] + slack)
+                keep[i] = False
+                chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
+        for subset, vals in zip(chunk, _solve(stack)):
+            best = min(best, (float(vals[-1]), subset))
     return best
 
 
@@ -371,10 +341,19 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has numeric
     rank 1 and Kruskal rank 2. A level over the budget sends the search to
     the walk up from q = 1, so the budget trips only where that walk needs
-    a level over it. On either path a level's blocks pass the Cholesky
-    screen first (_AnyDependent.cleared), and only those it does not clear
-    are solved, each to convergence; a level draws no chunk after its
-    first dependent block.
+    a level over it.
+
+    A block W is dependent when a converged solve gives lambda_min <=
+    threshold(lambda_max), with threshold nondecreasing. On either path a
+    level first drops every block that clears_floor proves above
+    threshold(U) + slack, with slack = matcore.bracket_margin(q) ||W||_F
+    and U = ||W||_F + slack, which bounds every eigenvalue a converged
+    solve of W can return. A converged lambda_min lies within the slack of
+    the exact one (the bridge in bracket_margin's docstring), so a dropped
+    block would leave the solve with lambda_min > threshold(U) >=
+    threshold(lambda_max): independent. Only the rest are solved, each to
+    convergence, and a level draws no chunk after its first dependent
+    block.
     """
     arr = finite_matrix(mat, square=False)
     n_cols = arr.shape[1]
@@ -397,15 +376,16 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         rank = rank_numeric(gram, tau_rel)
 
     def independent(q: int, whole: bool = False) -> bool:
-        level = _AnyDependent(threshold)
         if psd and q == n_cols:  # the block is the matrix itself, already solved
-            spectra = [eigvals_hermitian(herm)]
-        else:
-            screen = lambda _, stack: level.cleared(stack)
-            scan = _block_spectra(n_cols, q, budget, blocks, whole=whole, screen=screen)
-            spectra = (vals for _, vals in scan)
-        # any stops at the first dependent block, and no chunk is drawn after it.
-        return not any(level.dependent(vals) for vals in spectra)
+            vals = eigvals_hermitian(herm)
+            return not vals[-1] <= threshold(vals[0])
+        for _, stack in _chunks(n_cols, q, budget, blocks, whole):
+            fro, slack = _slack(stack)
+            # U = fro + slack bounds every eigenvalue a converged solve can return.
+            spectra = _solve(stack[~clears_floor(stack, threshold(fro + slack) + slack)])
+            if any(vals[-1] <= threshold(vals[0]) for vals in spectra):
+                return False
+        return True
 
     def walk_up(q: int) -> int:
         while q < n_cols and independent(q + 1):

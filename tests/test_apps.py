@@ -59,6 +59,23 @@ class TestBuildSteering:
         with pytest.raises(ValueError):
             build_steering(0, (0.0,))
 
+    @pytest.mark.parametrize(
+        "bad,text",
+        [
+            (4.0, "frequency 4.0 outside [-pi, pi)"),
+            (math.pi, "frequency 3.141592653589793 outside [-pi, pi)"),
+            (np.float64(-3.5), "frequency -3.5 outside [-pi, pi)"),
+            (math.nan, "frequency nan outside [-pi, pi)"),
+        ],
+    )
+    def test_out_of_range_message_is_shared(self, bad, text):
+        """Both entry points name the frequency as a plain float, NaN included."""
+        with pytest.raises(ValueError) as steering:
+            build_steering(3, (0.1, bad))
+        with pytest.raises(ValueError) as scenario:
+            coherent_scenario(omega=(0.1, bad))
+        assert str(steering.value) == str(scenario.value) == text
+
 
 class TestDoaScenario:
     def test_validation(self):

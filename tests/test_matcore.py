@@ -677,6 +677,31 @@ class TestOutOfBandNorms:
             ref = np.linalg.eigvalsh(blk * scale)[::-1]
             assert np.max(np.abs(row - ref)) <= 1e-12 * scale * np.linalg.norm(blk)
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_large_stack_mixes_in_and_out_of_band(self, monkeypatch, m):
+        """In-band blocks and blocks scaled by 1e+-200, in a stack _stack_sweep sweeps."""
+        rng = np.random.default_rng(970 + m)
+        blocks = np.array(
+            [
+                TestStackEigvals.block(rng, kind, m) * scale
+                for _ in range(2)
+                for kind in self.KINDS
+                for scale in (1.0, 1e200, 1e-200)
+            ]
+        )
+        assert len(blocks) > matcore.LOCKSTEP_MAX
+        real, swept = matcore._stack_sweep, []
+
+        def counting(w, skip_tol):
+            swept.append(len(w))
+            real(w, skip_tol)
+
+        monkeypatch.setattr(matcore, "_stack_sweep", counting)
+        vals = stack_eigvals(blocks)
+        assert swept[0] == len(blocks)
+        for blk, row in zip(blocks, vals):
+            assert row.tobytes() == stack_eigvals(blk[None])[0].tobytes()
+
     @pytest.mark.parametrize("shift", [-700, -530, 520, 700])
     def test_power_of_two_scaling_is_exact(self, shift):
         """A block with largest part in [1/2, 1), times 2^k: its spectrum times 2^k."""

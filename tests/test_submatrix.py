@@ -7,6 +7,7 @@ independent code.
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -539,7 +540,11 @@ class TestScanChunks:
         a = np.eye(5)
         a[1, 4] = a[4, 1] = 0.5  # (0, 1, 2) and (0, 1, 3) diagonal, (0, 1, 4) not
         blocks = submatrix._principal_blocks(a)
-        scan = submatrix._block_spectra(5, 3, 100, blocks)
+        scan = (
+            (subset, vals)
+            for chunk, stack in submatrix._chunks(5, 3, 100, blocks)
+            for subset, vals in zip(chunk, submatrix._solve(stack))
+        )
         assert [next(scan)[0] for _ in range(2)] == [(0, 1, 2), (0, 1, 3)]
         with pytest.raises(ConvergenceError):
             next(scan)
@@ -839,19 +844,27 @@ class TestKruskalScreen:
 
     @pytest.fixture
     def cleared(self, monkeypatch):
-        """Blocks the screen clears, each checked against its own full solve."""
-        real = submatrix._AnyDependent.cleared
+        """Blocks the screen clears, each checked against its own full solve.
+
+        A Kruskal level calls clears_floor from kruskal_rank's loop, whose
+        frame holds the level's threshold; a minimum scan's frame holds
+        none, and its calls are not counted.
+        """
+        real = submatrix.clears_floor
         count = [0]
 
-        def checked(question, stack):
-            mask = real(question, stack)
+        def checked(stack, floor):
+            mask = real(stack, floor)
+            threshold = sys._getframe(1).f_locals.get("threshold")
+            if threshold is None:
+                return mask
             for block in stack[mask]:
                 vals = stack_eigvals(block[None])[0]
-                assert vals[-1] > question.threshold(vals[0])  # independent when solved
+                assert vals[-1] > threshold(vals[0])  # independent when solved
             count[0] += int(mask.sum())
             return mask
 
-        monkeypatch.setattr(submatrix._AnyDependent, "cleared", checked)
+        monkeypatch.setattr(submatrix, "clears_floor", checked)
         return count
 
     @staticmethod
