@@ -26,14 +26,17 @@ in the last bit. A block whose squared norm would overflow or underflow
 is solved scaled by an exact power of two and scaled back.
 
 Every decision that a block needs no solve goes through one stacked
-Cholesky kernel instead. least_pivots runs a floating-point Cholesky of
-each block's real embedding, shifted by a floor and Rump's a-priori
-constant, and returns its least pivot; clears_floor reads a positive one
-as a proof that the block's exact lambda_min lies above the floor. It is
-plain numpy, vectorized across a stack, so LAPACK stays the tests'
-independent oracle. bracket_margin bridges that proof to the converged
-solve: is_psd, the subset minimum scans and the Kruskal levels each drop
-a block only where its converged result could not change their answer.
+Cholesky kernel instead. least_pivots runs a floating-point complex
+Cholesky of each Hermitian block itself, of its own order, shifted by a
+floor and Rump's a-priori constant, and returns its least pivot and the
+factor; clears_floor reads a positive pivot as a proof that the block's
+exact lambda_min lies above the floor. rayleigh_guesses runs a few steps
+of inverse iteration on that factor, so that a scan can guess its
+least block before it solves any. The kernel is plain numpy, vectorized
+across a stack, so LAPACK stays the tests' independent oracle.
+bracket_margin bridges the proof to the converged solve: is_psd, the
+subset minimum scans and the Kruskal levels each drop a block only where
+its converged result could not change their answer.
 
 Results that depend on a matrix's content alone are solved once per
 content: a carrier's spectrum here, and the subset minimum mu of
@@ -600,52 +603,53 @@ _UNIT_ROUNDOFF = 2.0**-53
 _LEAST_SUBNORMAL = 2.0**-1074
 
 
-def least_pivots(stack: np.ndarray, floor) -> np.ndarray:
-    """Per block of a (k, m, m) Hermitian stack: the least pivot of clears_floor's Cholesky.
+def least_pivots(stack: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of a (k, m, m) Hermitian stack: clears_floor's Cholesky, as (least, factor).
 
-    A NaN pivot (the rest of a block after a pivot at or below zero) reads
-    as -inf, and so does every pivot of a block that clears_floor never
-    clears: one of order at most 2, or with a norm outside NORM_BAND. Each
-    pivot is a diagonal entry of a Schur complement of S = E - sigma I, so
-    it is at least lambda_min(S): among blocks whose Cholesky completes at
-    one floor, the block with the least pivot is a guess at the block with
-    the least lambda_min.
+    least is each block's least pivot. A NaN pivot (the rest of a block
+    after a pivot at or below zero) reads as -inf, and so does every pivot
+    of a block that clears_floor never clears: one of order at most 2, or
+    with a norm outside NORM_BAND. Each pivot is a diagonal entry of a
+    Schur complement of S = B - sigma I, so it is at least lambda_min(S).
+
+    factor, of shape (m, m, k) with the stack last, is the factorization
+    S = L L^* for rayleigh_guesses: below the diagonal, column j of L; on
+    the diagonal, the pivots as real parts, whose square roots are L's
+    diagonal. Nothing else in it is of use. A block whose Cholesky failed
+    has a NaN or infinite factor.
     """
     k, m = stack.shape[0], stack.shape[1]
-    if m <= 2 or k == 0:
-        return np.full(k, -np.inf)
+    if k == 0:
+        return np.full(0, -np.inf), np.zeros((m, m, 0), dtype=np.complex128)
     a = np.asarray(stack, dtype=np.complex128)
     floor = np.broadcast_to(np.asarray(floor, dtype=np.float64), (k,))
     lift = np.maximum(-floor, 0.0)
-    n = 2 * m
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fro = _frobenius(a)
         dev = _frobenius(a - a.conj().transpose(0, 2, 1))
-        # S as (N, N, k), the stack last so that each step is elementwise
-        # over it. Only the lower triangle is read: the strict upper
-        # triangle of each Re B block keeps Re of the given upper triangle.
-        s = np.zeros((n, n, k))
-        s[:m, :m] = s[m:, m:] = a.real.transpose(1, 2, 0)
-        im_lower = np.tril(a.imag, -1)
-        s[m:, :m] = (im_lower - im_lower.transpose(0, 2, 1)).transpose(1, 2, 0)
-        diag = s.reshape(n * n, k)[:: n + 1]  # a view of the (N, k) diagonals
-        d = np.abs(diag)
+        # S as (m, m, k), the stack last so that each step is elementwise
+        # over it. Only A's lower triangle and the real part of its
+        # diagonal are read: each pivot is a real part, and each column
+        # lies below its pivot.
+        s = a.transpose(1, 2, 0).copy()
+        pivots = s.reshape(m * m, k)[:: m + 1].real  # a view of the (m, k) diagonals
+        d = np.abs(pivots)
         top = d.max(axis=0) + lift
-        c = (n + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + n * lift + np.abs(floor) + dev + top)
-        c += 8 * n * (n + 3 + top) * _LEAST_SUBNORMAL
-        diag -= floor + dev + c
-        # Right-looking: column j of the factor overwrites column j of S
-        # below the diagonal, and the diagonal is left holding the pivots. A
-        # pivot at or below zero turns the rest of its block into NaN or
-        # inf, whose pivots are not positive either.
-        for j in range(n - 1):
+        c = (m + 3) * _UNIT_ROUNDOFF * (d.sum(axis=0) + m * lift + np.abs(floor) + dev + top)
+        c += 16 * m * (m + 3 + top) * _LEAST_SUBNORMAL
+        pivots -= floor + dev + c
+        # Right-looking: column j of L overwrites column j of S below the
+        # diagonal, and the diagonal is left holding the pivots. A pivot at
+        # or below zero turns the rest of its block into NaN or inf, whose
+        # pivots are not positive either.
+        for j in range(m - 1):
             col = s[j + 1 :, j]
-            col /= np.sqrt(s[j, j])
-            s[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
-        least = diag.min(axis=0)
+            col *= 1.0 / np.sqrt(pivots[j])
+            s[j + 1 :, j + 1 :] -= col[:, None] * col.conj()[None, :]
+        least = pivots.min(axis=0)
         band = (fro >= NORM_BAND[0]) & (fro <= NORM_BAND[1])
-        least[np.isnan(least) | ~band] = -np.inf
-        return least
+        least[np.isnan(least) | ~band | (m <= 2)] = -np.inf
+        return least, s
 
 
 def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
@@ -653,54 +657,102 @@ def clears_floor(stack: np.ndarray, floor) -> np.ndarray:
 
     floor is one value or one per block, of either sign. A block A is read
     as LAPACK reads it: the Hermitian B takes A's lower triangle and the
-    real part of its diagonal. Let E = [[Re B, -Im B], [Im B, Re B]] be
-    B's real embedding, of order N = 2m, which has each eigenvalue of B
-    twice; dev = ||A - A^*||_F, 0 for an exactly Hermitian A; F =
-    max(0, -floor), the lift a negative floor gives the diagonal; and
+    real part of its diagonal. Let dev = ||A - A^*||_F, 0 for an exactly
+    Hermitian A; F = max(0, -floor), the lift a negative floor gives the
+    diagonal; and
 
-        c = (N + 3) u (t + |floor| + dev + d) + 8 N (N + 3 + d) eta,
+        c = (m + 3) u (t + |floor| + dev + d) + 16 m (m + 3 + d) eta,
 
-    with t = N F + sum_i |E_ii| and d = F + max_i |E_ii|, u = 2^-53 the
+    with t = m F + sum_i |B_ii| and d = F + max_i |B_ii|, u = 2^-53 the
     unit roundoff and eta = 2^-1074 the least subnormal. For floor >= 0, F
-    is 0 and t and d are the sum and the largest of |E_ii|. The block is
-    cleared when a floating-point Cholesky of S = E - sigma I, sigma =
-    floor + dev + c, completes with positive pivots (least_pivots). Blocks
-    of order at most 2, which stack_eigvals solves in closed form, and
-    blocks with a norm outside NORM_BAND are never cleared. Plain numpy
+    is 0 and t and d are the sum and the largest of |B_ii|. The block is
+    cleared when a floating-point complex Cholesky of S = B - sigma I,
+    sigma = floor + dev + c, completes with positive pivots (least_pivots).
+    Blocks of order at most 2, which stack_eigvals solves in closed form,
+    and blocks with a norm outside NORM_BAND are never cleared. Plain numpy
     across the stack, no LAPACK.
 
     Why success proves lambda_min(B) > floor + dev, after Rump
     ("Verification of positive definiteness", BIT 46, 2006), whose
-    a-priori shift c bounds:
+    a-priori shift c bounds, carried over to complex arithmetic:
 
-    - Demmel's backward error of Cholesky (Higham, Accuracy and Stability
-      of Numerical Algorithms, Thm 10.3), for any order of the inner
-      products: the computed factor R satisfies R^T R = S + Delta with
-      |Delta| <= gamma_{N+1} |R^T| |R|. A product or quotient that
-      underflows adds at most eta / 2, so each entry of Delta gains at
-      most (N + 1 + max S_ii) eta. By Cauchy-Schwarz and
-      ||R e_i||^2 = S_ii + Delta_ii, ||Delta||_2 <= alpha tr(S) +
-      (1 + alpha) N (N + 1 + max S_ii) eta, alpha = gamma_{N+1} /
-      (1 - gamma_{N+1}) < (N + 1.01) u.
-    - R has a positive diagonal, so R^T R is positive definite and
+    - Step j of the factorization takes the pivot p_j = Re s_jj and r_j =
+      fl(sqrt(p_j)), scales the column, l_ij = fl(s_ij fl(1 / r_j)), and
+      updates s_ik to fl(s_ik - fl(l_ij conj(l_kj))). A complex sum or a
+      product by a real rounds each part once, so it errs by at most u
+      times its modulus. A complex product errs by at most sqrt(2)
+      gamma_2 times its modulus unfused (Higham, Accuracy and Stability of
+      Numerical Algorithms, sec. 3.6), and by at most 2u with one FMA per
+      part (Jeannerod, Kornerup, Louvet and Muller, Math. Comp. 86,
+      2017): within gamma_3 either way, gamma_k = k u / (1 - k u).
+    - Unrolling the updates as in Demmel's backward error of Cholesky
+      (Higham, Thm 10.3): S_ik = sum_{j<k} l_ij conj(l_kj) (1 + theta_j) +
+      l_ik r_k (1 + theta_k), with r_k^2 in place of l_ik r_k on the
+      diagonal. Term j carries a product and j subtractions, so |theta_j|
+      <= gamma_{j+3}; the last term k subtractions and either the
+      reciprocal and its product or the square root, so |theta_k| <=
+      gamma_{k+2}. As j < k < m, the computed factor L satisfies L L^* =
+      S + Delta with |Delta| <= gamma_{m+1} |L| |L^*| entrywise. A real
+      product or quotient that underflows errs by at most eta / 2 instead
+      (a complex product holds two per part), so each entry of Delta gains
+      at most 2 (m + 1 + max S_ii) eta. By Cauchy-Schwarz and
+      ||L^* e_i||^2 = S_ii + Delta_ii, ||Delta||_2 <= alpha tr(S) +
+      2 (1 + alpha) m (m + 1 + max S_ii) eta, alpha = gamma_{m+1} /
+      (1 - gamma_{m+1}) < (m + 1.01) u.
+    - L has a positive diagonal, so L L^* is positive definite and
       lambda_min(S) > -||Delta||_2.
-    - Every pivot positive means 0 < S_ii = fl(E_ii - sigma'), sigma' the
+    - Every pivot positive means 0 < S_ii = fl(B_ii - sigma'), sigma' the
       computed sigma. As dev and c are not negative and rounding is
-      monotone, sigma' >= floor. If sigma' >= 0, then E_ii > sigma' and
-      |E_ii - sigma'| <= |E_ii|; if sigma' < 0, then |sigma'| <= F and
-      |E_ii - sigma'| <= |E_ii| + F. Either way S_ii <= (1 + u) (|E_ii| +
+      monotone, sigma' >= floor. If sigma' >= 0, then B_ii > sigma' and
+      |B_ii - sigma'| <= |B_ii|; if sigma' < 0, then |sigma'| <= F and
+      |B_ii - sigma'| <= |B_ii| + F. Either way S_ii <= (1 + u) (|B_ii| +
       F), so tr(S) <= (1 + u) t and max S_ii <= (1 + u) d: a negative
-      floor adds N |floor| to the trace term, as the Cholesky of E + F I
-      would. S differs from E - sigma' I by a diagonal of at most u d, and
+      floor adds m |floor| to the trace term, as the Cholesky of B + F I
+      would. S differs from B - sigma' I by a diagonal of at most u d, and
       sigma' is below floor + dev + c by at most 2u (|floor| + dev + c).
 
-    Together lambda_min(E) > floor + dev: c exceeds the sum of those terms
+    Together lambda_min(B) > floor + dev: c exceeds the sum of those terms
     by nearly 2u t, which covers its own rounding. dev bounds, up to its
     rounding, how far any other Hermitian reading of the block (its upper
     triangle, its Hermitian part) moves an eigenvalue. A floor so far below
-    zero that N F overflows makes c infinite, and no block is cleared.
+    zero that m F overflows makes c infinite, and no block is cleared.
     """
-    return least_pivots(stack, floor) > 0.0
+    return least_pivots(stack, floor)[0] > 0.0
+
+
+# Inverse-iteration steps behind each Rayleigh quotient of rayleigh_guesses.
+INVERSE_STEPS = 3
+
+
+def rayleigh_guesses(stack: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Per block W of a (k, m, m) stack: a Rayleigh quotient at or above lambda_min(W), near it.
+
+    factor is least_pivots' factor of the stack, at a floor below the
+    blocks' least eigenvalues: S = L L^* = U D^2 U^*, with U = L D^-1
+    unit lower triangular and D^2 the pivots. From the all-ones vector,
+    each of INVERSE_STEPS steps solves S y = x through U, D^2 and U^* and
+    rescales y to a largest modulus of 1; the result is x^* W x / x^* x.
+    Inverse iteration with a shift below the spectrum pulls x towards the
+    least eigenvector, so among blocks of one stack the least quotient is
+    a guess at the block with the least lambda_min. A block whose
+    Cholesky failed reads NaN. Plain numpy across the stack.
+    """
+    m, k = factor.shape[0], factor.shape[2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pivots = factor.reshape(m * m, k)[:: m + 1].real
+        unit = factor / np.sqrt(pivots)  # U below the diagonal: column j over D_jj
+        conj = unit.conj()  # conj[j, :j] is column j of U^* above its diagonal
+        x = np.ones((m, k), dtype=np.complex128)
+        for _ in range(INVERSE_STEPS):
+            for j in range(m - 1):
+                x[j + 1 :] -= unit[j + 1 :, j] * x[j]
+            x /= pivots
+            for j in range(m - 1, 0, -1):
+                x[:j] -= conj[j, :j] * x[j]
+            x *= 1.0 / np.abs(x).max(axis=0)
+        xt = x.T
+        xc = xt.conj()
+        return (xc * (stack @ xt[:, :, None])[:, :, 0]).sum(axis=1).real / (xc * xt).sum(axis=1).real
 
 
 def _hypot_one(x: np.ndarray) -> np.ndarray:

@@ -251,7 +251,7 @@ def suite_cp(rng: np.random.Generator, trials: int) -> SuiteResult:
         applicable += 1
         m1 = parts.factored_form.entries
         vals = np.linalg.eigvalsh(m1)
-        tau = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+        tau = 1e-9 * float(np.max(np.abs(vals)))  # relative, as matcore.tol_for
         positive = vals[vals > tau]
         lam_pos = float(np.min(positive)) if positive.size else 0.0
         if lam_pos < rep.m1_floor - ABS_SLACK:
@@ -271,7 +271,7 @@ def _kruskal_bruteforce(arr: np.ndarray, tau_rel: float = 1e-9) -> int:
     """Column-subset SVD definition, evaluated with numpy only."""
     n_cols = arr.shape[1]
     sigma_max = float(np.linalg.svd(arr, compute_uv=False)[0])
-    tau = tau_rel * max(1.0, sigma_max)
+    tau = tau_rel * sigma_max  # relative, as matcore.tol_for
     for q in range(1, n_cols + 1):
         for subset in itertools.combinations(range(n_cols), q):
             svals = np.linalg.svd(arr[:, subset], compute_uv=False)

@@ -11,14 +11,18 @@ those chunks. Every block a scan solves runs to convergence, through
 _solve; before the solve, the one Cholesky kernel, matcore.clears_floor,
 decides which blocks need none.
 
-A minimum scan solves one block of each chunk first, its incumbent, and
+A minimum scan solves one block of each chunk first, its incumbent: the
+block with the least Rayleigh quotient after a few steps of inverse
+iteration on its Cholesky factor (matcore.rayleigh_guesses). It then
 drops every block that clears_floor proves above the least value so far
 by the solver's own error bound (see _least_block). A Kruskal level asks
 only whether every block's lambda_min clears its threshold, so it drops
-every block proved above the threshold by that bound (see kruskal_rank).
-A converged solve of a dropped block would neither reach the minimum nor
-find the block dependent, so every value, argmin and Kruskal rank is the
-one a scan that solves every block gives.
+every block proved above the threshold by that bound; on the PSD path, a
+level above the numeric rank that Cauchy interlacing already proves
+failed draws no block at all (see kruskal_rank). A converged solve of a
+dropped block would neither reach the minimum nor find the block
+dependent, so every value, argmin and Kruskal rank is the one a scan
+that solves every block gives.
 
 The floors read mu through floor_mu, which scans nothing when the
 matrix's numeric rank is below the order and it is positive semidefinite
@@ -44,6 +48,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL_REL,
+    NORM_BAND,
     HermitianMatrix,
     as_hermitian,
     bracket_margin,
@@ -54,6 +59,7 @@ from .matcore import (
     least_pivots,
     least_positive,
     rank_numeric,
+    rayleigh_guesses,
     require_psd,
     solved_once,
     stack_eigvals,
@@ -149,11 +155,13 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
     before its solve, with slack = matcore.bracket_margin(m) ||W||_F:
 
     - its incumbent, a guess at its argmin, is solved alone and taken into
-      best. It is the first block with the least Cholesky pivot
-      (matcore.least_pivots) at floor 0 when some block is proved positive
-      definite there. Otherwise the floor is -max ||W||_F, below every
-      block's lambda_min, so that every Cholesky completes and the least
-      pivot points at a block whose lambda_min lies near the bottom;
+      best. The chunk is factored at floor 0 when some block is proved
+      positive definite there, and otherwise at floor -max ||W||_F, below
+      every block's lambda_min, so that every Cholesky completes. The
+      incumbent is the first block whose Cholesky failed at that floor (its
+      lambda_min lies at or near the bottom) if there is one, and otherwise
+      the block with the least matcore.rayleigh_guesses quotient on its
+      factor;
     - every block that clears_floor proves above best + slack, a floor of
       either sign, is dropped: by the bridge in bracket_margin's docstring
       a converged solve would return a value above best, neither the
@@ -163,17 +171,20 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
       above -slack: every block is within rounding of singular (as when a
       positive semidefinite matrix's rank is below m), so no incumbent
       could clear another.
+
+    Any incumbent is valid: it only sets how many blocks the drop leaves.
     """
     best = (math.inf, ())
     for chunk, stack in _chunks(n, m, budget, blocks, whole=True):
         if len(chunk) > 1:
             fro, slack = _slack(stack)
-            pivots = least_pivots(stack, 0.0)
-            if not np.any(pivots > 0.0) and not np.all(least_pivots(stack, -slack) > 0.0):
-                pivots = least_pivots(stack, -fro.max())
+            pivots, factor = least_pivots(stack, 0.0)
+            if not np.any(pivots > 0.0) and not np.all(clears_floor(stack, -slack)):
+                pivots, factor = least_pivots(stack, -fro.max())
             # None positive still: all near singular, orders <= 2, or norms no Cholesky clears.
             if np.any(pivots > 0.0):
-                i = int(np.argmin(pivots))
+                guesses = np.where(pivots > 0.0, rayleigh_guesses(stack, factor), -np.inf)
+                i = int(np.argmin(guesses))
                 best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
                 keep = ~clears_floor(stack, best[0] + slack)
                 keep[i] = False
@@ -334,14 +345,37 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     The levels are monotone: by interlacing, when every q-subset passes,
     so does every smaller subset. So the search starts at the numeric rank
     r (on the Gram path, rank_numeric of the full Gram). It
-    probes level r + 1, which a generic input fails at its first subset,
-    then scans level r whole, and walks up while the next level passes,
-    otherwise down to the first level that passes. r is no upper bound on
-    the PSD path, where each block is judged at its own scale:
-    3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has numeric
-    rank 1 and Kruskal rank 2. A level over the budget sends the search to
-    the walk up from q = 1, so the budget trips only where that walk needs
-    a level over it.
+    probes level r + 1, then scans level r whole, and walks up while the
+    next level passes, otherwise down to the first level that passes. r is
+    no upper bound on the PSD path, where each block is judged at its own
+    scale: 3e3 vv* + 2.5e-6 (I - vv*) with v = ones(3) / sqrt(3) has
+    numeric rank 1 and Kruskal rank 2. A level over the budget sends the
+    search to the walk up from q = 1, so the budget trips only where that
+    walk needs a level over it.
+
+    On the PSD path a level q > r of order q >= 3 fails with no block
+    drawn or solved when
+
+        lambda_q + (bracket_margin(n) + bracket_margin(q)) ||A||_F + dev
+            <= threshold(a - bracket_margin(q) ||A||_F),
+
+    with lambda_q the q-th of A's carrier eigenvalues, dev = ||A - A^*||_F,
+    a = max_i Re a_ii, and a and ||A||_F in matcore.NORM_BAND. Take an
+    order-q block W that holds the index of a; its norm, between a and
+    ||A||_F, lies in the band too. By Cauchy interlacing (Horn and Johnson,
+    Matrix Analysis, Thm 4.3.28), lambda_min(W) <= lambda_q(A) for a
+    Hermitian reading of A and its principal block, and dev bounds how far
+    apart the readings of the two solves lie, as in clears_floor. A's
+    converged lambda_q lies within bracket_margin(n) ||A||_F of the exact
+    one, and W's converged lambda_min within bracket_margin(q) ||W||_F <=
+    bracket_margin(q) ||A||_F of its own, so it is at most the left side.
+    W's converged lambda_max is at least a - bracket_margin(q) ||A||_F,
+    since an exact lambda_max is at least every diagonal entry. threshold
+    is nondecreasing, so W is dependent and the level fails, as its scan
+    would find. The spare in bracket_margin covers the rounding of both
+    sides. The level still checks the budget where its draw would. A
+    generic input fails a level that interlacing cannot decide at its
+    first subset; the example above passes it.
 
     A block W is dependent when a converged solve gives lambda_min <=
     threshold(lambda_max), with threshold nondecreasing. On either path a
@@ -367,6 +401,18 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         blocks = _principal_blocks(herm.entries)
         threshold = lambda top: tol_for(top, tau_rel)
         rank = rank_numeric(herm, tau_rel)
+        spectrum = eigvals_hermitian(herm)
+
+        def interlaced(q: int) -> bool:
+            """Whether interlacing proves level q > r failed (see above)."""
+            entries = herm.entries
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm, dev = np.linalg.norm(entries), np.linalg.norm(entries - entries.conj().T)
+            top = float(herm.diagonal().max())
+            margin = bracket_margin(q) * norm
+            low = spectrum[q - 1] + bracket_margin(n_cols) * norm + margin + dev
+            in_band = NORM_BAND[0] <= top and norm <= NORM_BAND[1]
+            return in_band and low <= threshold(top - margin)
     else:
         arr, _ = _gram_scaled(arr)
         gram = HermitianMatrix(arr.conj().T @ arr)
@@ -377,8 +423,10 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
 
     def independent(q: int, whole: bool = False) -> bool:
         if psd and q == n_cols:  # the block is the matrix itself, already solved
-            vals = eigvals_hermitian(herm)
-            return not vals[-1] <= threshold(vals[0])
+            return not spectrum[-1] <= threshold(spectrum[0])
+        if psd and q > max(rank, 2) and interlaced(q):
+            check_budget(n_cols, q, budget)  # where the level's draw would check it
+            return False
         for _, stack in _chunks(n_cols, q, budget, blocks, whole):
             fro, slack = _slack(stack)
             # U = fro + slack bounds every eigenvalue a converged solve can return.

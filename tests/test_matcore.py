@@ -840,6 +840,38 @@ def lapack_least(block, uplo="L"):
     return float(np.linalg.eigvalsh(block, UPLO=uplo)[0])
 
 
+COMPLEX_KINDS = ["imaginary", "imaginary-dominated", "near-hermitian"]
+
+
+def complex_blocks(rng, m, kind, sign, count=6):
+    """Blocks of order m whose least eigenvalue has the given sign.
+
+    Its size runs from 1e-6 to 0.5 of the spectrum's width. Off-diagonals
+    are purely imaginary, or with real parts 1e-3 of the imaginary ones,
+    or general: the near-hermitian blocks carry an asymmetry that
+    HermitianMatrix accepts, so the screen reads their lower triangle and
+    the upper one differs in its last bits.
+    """
+    re, im = rng.normal(size=(2, count, m, m))
+    weight = {"imaginary": 0.0, "imaginary-dominated": 1e-3, "near-hermitian": 1.0}[kind]
+    h = weight * re + 1j * im
+    h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    vals = np.linalg.eigvalsh(h)
+    least = sign * np.logspace(-6, math.log10(0.5), count) * (vals[:, -1] - vals[:, 0])
+    h = h + (least - vals[:, 0])[:, None, None] * np.eye(m)
+    if kind == "near-hermitian":
+        noise = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        h = h + 1e-14 * np.abs(h).max() * noise
+        h = np.array([HermitianMatrix(b).entries for b in h])  # each passes the symmetry test
+        assert not np.array_equal(h, h.conj().transpose(0, 2, 1))
+    return h
+
+
+def lapack_least_both(stack):
+    """Per block: the least eigenvalue by LAPACK over its lower and its upper reading."""
+    return np.array([min(lapack_least(b, "L"), lapack_least(b, "U")) for b in stack])
+
+
 class TestClearsFloor:
     """The Cholesky screen against the LAPACK oracle: a cleared block lies above its floor."""
 
@@ -933,6 +965,42 @@ class TestClearsFloor:
             )
         assert self.sound(scaled, np.ldexp(0.5 * least, e)).all()
 
+    @pytest.mark.parametrize("kind", COMPLEX_KINDS)
+    def test_complex_off_diagonals_orders_3_to_12(self, kind):
+        """Floors of both signs around a positive least eigenvalue, the blocks scaled by 2^k."""
+        rng = np.random.default_rng(1505 + COMPLEX_KINDS.index(kind))
+        for m in range(3, 13):
+            stack = complex_blocks(rng, m, kind, 1.0)
+            least = lapack_least_both(stack)
+            fro = np.linalg.norm(stack, axis=(1, 2))
+            for e in (-60, 0, 60):
+                scaled = np.ldexp(stack.view(float), e).view(np.complex128)
+                for rel in (0.0, 2.0**-52, 1e-12, 1e-6):
+                    assert not self.sound(scaled, np.ldexp(least + rel * fro, e)).any()
+                for rel in (2.0**-52, 1e-15, 1e-12):
+                    self.sound(scaled, np.ldexp(least - rel * fro, e))
+                for rel in (1e-9, 1e-6, 1.0):  # the last floor is below zero
+                    assert self.sound(scaled, np.ldexp(least - rel * fro, e)).all()
+
+    def test_factor_holds_the_shifted_block(self):
+        rng = np.random.default_rng(1506)
+        for m in range(3, 9):
+            stack = np.array([self.blocks(rng, m, "complex") for _ in range(5)])
+            floor = 0.5 * np.array([lapack_least(b) for b in stack])
+            least, factor = matcore.least_pivots(stack, floor)
+            assert np.all(least > 0.0) and factor.shape == (m, m, 5)
+            low = np.tril(factor.transpose(2, 0, 1), -1)
+            pivots = factor.transpose(2, 0, 1).diagonal(axis1=1, axis2=2).real
+            assert np.array_equal(least, pivots.min(axis=1))
+            lf = low + np.sqrt(pivots)[:, :, None] * np.eye(m)
+            prod = lf @ lf.conj().transpose(0, 2, 1)
+            fro = np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+            off = ~np.eye(m, dtype=bool)
+            assert np.all(np.abs(prod - stack)[:, off] <= 1e-13 * fro[:, :, 0])
+            # The diagonal is shifted by one sigma per block, a little above the floor.
+            shift = (stack - prod).diagonal(axis1=1, axis2=2).real
+            assert np.all(shift.T > floor) and np.all(np.ptp(shift, axis=1) <= 1e-13 * fro[:, 0, 0])
+
     @pytest.mark.parametrize("e", [600, -600])
     def test_blocks_outside_the_norm_band_are_never_cleared(self, e):
         stack = np.ldexp(np.eye(5), e)[None]
@@ -974,6 +1042,24 @@ class TestNegativeFloors:
             for rel in (1e-9, 1e-6, 1.0, 1e6):
                 assert self.sound(stack, least - rel * fro).all()
 
+    @pytest.mark.parametrize("kind", COMPLEX_KINDS)
+    def test_complex_off_diagonals_orders_3_to_12(self, kind):
+        """Negative floors around a negative least eigenvalue, the blocks scaled by 2^k."""
+        rng = np.random.default_rng(1512 + COMPLEX_KINDS.index(kind))
+        for m in range(3, 13):
+            stack = complex_blocks(rng, m, kind, -1.0)
+            least = lapack_least_both(stack)
+            fro = np.linalg.norm(stack, axis=(1, 2))
+            assert np.all(least < 0.0)
+            for e in (-60, 0, 60):
+                scaled = np.ldexp(stack.view(float), e).view(np.complex128)
+                for rel in (0.0, 2.0**-52, 1e-12, 1e-6):
+                    assert not self.sound(scaled, np.ldexp(least + rel * fro, e)).any()
+                for rel in (2.0**-52, 1e-15, 1e-12):
+                    self.sound(scaled, np.ldexp(least - rel * fro, e))
+                for rel in (1e-9, 1e-6, 1.0, 1e6):
+                    assert self.sound(scaled, np.ldexp(least - rel * fro, e)).all()
+
     def test_exact_ties_below_zero(self):
         for m in range(3, 8):
             for f in (-1e-3, -0.25, -2.0, -7.0):
@@ -1000,6 +1086,40 @@ class TestNegativeFloors:
         assert self.sound(stack, -1e300).all()
         # |floor| N overflows Rump's constant, so nothing is proved.
         assert not self.sound(stack, -1.7e308).any()
+
+
+class TestRayleighGuesses:
+    """Inverse iteration on the screen's factor: a quotient in the spectrum, near its bottom."""
+
+    def test_quotients_lie_in_the_spectrum(self):
+        rng = np.random.default_rng(1520)
+        for m in range(3, 10):
+            stack = np.array([random_hermitian(rng, m) for _ in range(10)])
+            vals = np.linalg.eigvalsh(stack)
+            fro = np.linalg.norm(stack, axis=(1, 2))
+            for floor in (vals[:, 0] - 0.5, -fro.max()):
+                least, factor = matcore.least_pivots(stack, floor)
+                assert np.all(least > 0.0)
+                q = matcore.rayleigh_guesses(stack, factor)
+                assert np.all(q >= vals[:, 0] - 1e-13 * fro)
+                assert np.all(q <= vals[:, -1] + 1e-13 * fro)
+
+    def test_a_separated_least_eigenvalue_is_found(self):
+        rng = np.random.default_rng(1521)
+        for m in range(3, 10):
+            spectrum = np.linspace(1.0, 20.0, m) ** 2  # lambda_2 / lambda_1 above 5
+            q_mats = [np.linalg.qr(random_hermitian(rng, m))[0] for _ in range(6)]
+            stack = np.array([(u * spectrum) @ u.conj().T for u in q_mats])
+            least, factor = matcore.least_pivots(stack, 0.0)
+            guesses = matcore.rayleigh_guesses(stack, factor)
+            assert np.all(np.abs(guesses - 1.0) <= 1e-3 * spectrum[-1])
+
+    def test_a_failed_factor_reads_nan(self):
+        stack = np.array([np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 3.0, 2.0])], dtype=complex)
+        least, factor = matcore.least_pivots(stack, 0.0)
+        assert least[0] == -np.inf and least[1] > 0.0
+        guesses = matcore.rayleigh_guesses(stack, factor)
+        assert np.isnan(guesses[0]) and 1.0 <= guesses[1] < 1.1
 
 
 def test_tol_for_is_relative_with_no_floor():

@@ -26,6 +26,7 @@ from hadabound.errors import (
     ZeroMatrixError,
 )
 from hadabound.matcore import hadamard, stack_eigvals
+from hadabound.selftest import _kruskal_bruteforce
 from hadabound.submatrix import (
     effective_condition_number,
     iter_subsets,
@@ -251,6 +252,13 @@ class TestKruskalRank:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             kruskal_rank(np.zeros((0, 0)))
+
+    def test_selftest_oracle_is_scale_free(self):
+        """The selftest's numpy oracle judges against sigma_max with no absolute floor."""
+        rng = np.random.default_rng(871)
+        v = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        for mat in (v.conj().T @ v, v.T @ v):  # 6 x 6 of rank 4, PSD and not
+            assert _kruskal_bruteforce(mat * 2.0**-40) == _kruskal_bruteforce(mat) == 4
 
     def test_can_exceed_the_numeric_rank(self):
         # The 2x2 blocks' small eigenvalue 2.5e-6 clears their own threshold
@@ -493,11 +501,34 @@ class TestScanChunks:
         assert drawn == [[(6, 5), 6], [(6, 4), 1], [(6, 3), 1], [(6, 2), 15]]
 
     @pytest.mark.parametrize("n,r", [(9, 4), (11, 6)])
-    def test_generic_kruskal_walk_probes_once_then_scans_the_rank(self, drawn, n, r):
+    def test_generic_kruskal_walk_scans_only_the_rank(self, drawn, n, r):
         rng = np.random.default_rng(861)
         f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
         assert kruskal_rank(f @ f.conj().T) == r
-        assert drawn == [[(n, r + 1), 1], [(n, r), math.comb(n, r)]]
+        # Interlacing fails level r + 1 with no subset drawn.
+        assert drawn == [[(n, r), math.comb(n, r)]]
+
+    def test_a_level_interlacing_cannot_decide_is_drawn(self, drawn):
+        # lambda_q = 2.5e-6 lies above threshold(max a_ii) = 6e-7 at every q,
+        # so the walk up from r = 1 draws each level below n, as before.
+        v = np.ones(5) / math.sqrt(5.0)
+        a = 3e3 * np.outer(v, v) + 2.5e-6 * (np.eye(5) - np.outer(v, v))
+        assert matcore.rank_numeric(a) == 1
+        assert kruskal_rank(a) == 4
+        assert drawn == [[(5, 2), 10], [(5, 3), 10], [(5, 4), 5]]
+
+    def test_an_interlaced_level_over_the_budget_raises_as_its_draw_would(self, drawn):
+        rng = np.random.default_rng(864)
+        f = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        a = f @ f.conj().T
+        # C(9, 4) = 126 > C(9, 3) = 84: level 4 is over a budget of 125, so
+        # the search falls back to the walk up from 1, which needs level 4.
+        with pytest.raises(BudgetExceededError, match=r"C\(9,4\) = 126"):
+            kruskal_rank(a, budget=125)
+        assert drawn == [[(9, 1), 9], [(9, 2), 36], [(9, 3), 84]]
+        drawn.clear()
+        assert kruskal_rank(a, budget=126) == 3
+        assert drawn == [[(9, 3), 84]]
 
     @pytest.mark.parametrize("scan", ["mu", "subset_sv"])
     def test_exhaustive_scan_solves_whole_chunks(self, monkeypatch, scan):
@@ -710,10 +741,57 @@ class TestMinimumScreen:
     def test_an_incumbent_past_the_first_tie_keeps_the_first_tie(self):
         a = np.diag([1.0, 2.0, 2.0, 9.0, 1.0])
         subsets = list(itertools.combinations(range(5), 3))
-        pivots = matcore.least_pivots(submatrix._principal_blocks(a)(np.array(subsets)), 0.0)
-        # The largest trace gives the largest Rump shift, so the least pivot.
-        assert subsets[int(np.argmin(pivots))] == (0, 1, 3)
+        stack = submatrix._principal_blocks(a)(np.array(subsets))
+        pivots, factor = matcore.least_pivots(stack, 0.0)
+        assert np.all(pivots > 0.0)
+        # Two eigenvalues 1 and one 9 leave the least Rayleigh quotient.
+        assert subsets[int(np.argmin(matcore.rayleigh_guesses(stack, factor)))] == (0, 3, 4)
         assert self.check_mu(a, 3).argmin_subset == (0, 1, 2)
+
+    def test_doa_steering_scans_solve_a_few_blocks(self, monkeypatch):
+        """10 x 10 steering blocks, one jittered frequency per cell, m = 6."""
+        real = matcore._jacobi
+        solved = []
+
+        def counting(w, v=None):
+            solved[-1] += len(w)
+            return real(w, v)
+
+        for seed in range(6):
+            jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, 10)
+            v = build_steering(10, tuple(-math.pi + (np.arange(10) + 0.5 + jitter) * math.pi / 5))
+            want = per_subset_sv(v, 6)
+            solved.append(0)
+            with monkeypatch.context() as patched:
+                patched.setattr(matcore, "_jacobi", counting)
+                assert repr(min_subset_singular_value(v, 6)) == repr(want)
+        # Of C(10, 6) = 210 Gram blocks each; the incumbent is one of them.
+        assert sorted(solved)[3] <= 3 and max(solved) <= 30
+
+    def test_negative_floor_incumbent_is_guessed_on_that_floors_factor(self, monkeypatch):
+        rng = np.random.default_rng(889)
+        a = random_hermitian(rng, 8)
+        a[np.arange(8), np.arange(8)] = 0.0  # trace 0: no block is positive definite
+        floors, factors, guessed = [], [], []
+        real_pivots, real_guesses = submatrix.least_pivots, submatrix.rayleigh_guesses
+
+        def pivots(stack, floor):
+            least, factor = real_pivots(stack, floor)
+            floors.append(floor)
+            factors.append(factor)
+            return least, factor
+
+        def guesses(stack, factor):
+            guessed.append(factor)
+            return real_guesses(stack, factor)
+
+        monkeypatch.setattr(submatrix, "least_pivots", pivots)
+        monkeypatch.setattr(submatrix, "rayleigh_guesses", guesses)
+        res = self.check_mu(a, 4)
+        assert res.value < 0.0
+        blocks = submatrix._principal_blocks(a)(np.array(list(itertools.combinations(range(8), 4))))
+        assert floors == [0.0, -np.linalg.norm(blocks, axis=(1, 2)).max()]
+        assert len(guessed) == 1 and guessed[0] is factors[1]
 
     def test_repeated_columns(self):
         rng = np.random.default_rng(885)
@@ -907,11 +985,12 @@ class TestKruskalScreen:
         monkeypatch.setattr(matcore, "_jacobi", counting)
         rng = np.random.default_rng(902 + n)
         f = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
-        for mat in (f @ f.conj().T, f.conj().T):
+        for mat, probes in ((f @ f.conj().T, 0), (f.conj().T, 1)):
             orders.clear()
             assert kruskal_rank(mat) == r
-            # Level r + 1 fails at its first block; level r is cleared whole.
-            assert r not in orders and orders.count(r + 1) == 1
+            # Level r is cleared whole. On the PSD path interlacing fails
+            # level r + 1 unsolved; the Gram path fails it at its first block.
+            assert r not in orders and orders.count(r + 1) == probes
 
 
 class TestPinnedScans:
