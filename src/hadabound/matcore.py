@@ -727,15 +727,16 @@ INVERSE_STEPS = 3
 def rayleigh_guesses(stack: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Per block W of a (k, m, m) stack: a Rayleigh quotient at or above lambda_min(W), near it.
 
-    factor is least_pivots' factor of the stack, at a floor below the
-    blocks' least eigenvalues: S = L L^* = U D^2 U^*, with U = L D^-1
-    unit lower triangular and D^2 the pivots. From the all-ones vector,
-    each of INVERSE_STEPS steps solves S y = x through U, D^2 and U^* and
-    rescales y to a largest modulus of 1; the result is x^* W x / x^* x.
-    Inverse iteration with a shift below the spectrum pulls x towards the
-    least eigenvector, so among blocks of one stack the least quotient is
-    a guess at the block with the least lambda_min. A block whose
-    Cholesky failed reads NaN. Plain numpy across the stack.
+    factor is least_pivots' factor of the stack at some floor: S = L L^*
+    = U D^2 U^*, with U = L D^-1 unit lower triangular and D^2 the
+    pivots. Where the Cholesky completed, the shift lies below
+    lambda_min(W). From the all-ones vector, each of INVERSE_STEPS steps
+    solves S y = x through U, D^2 and U^* and rescales y to a largest
+    modulus of 1; the result is x^* W x / x^* x. Inverse iteration with a
+    shift below the spectrum pulls x towards the least eigenvector, so
+    among blocks of one stack the least quotient is a guess at the block
+    with the least lambda_min. A block whose Cholesky failed reads NaN.
+    Plain numpy across the stack.
     """
     m, k = factor.shape[0], factor.shape[2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
