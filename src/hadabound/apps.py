@@ -73,10 +73,10 @@ class DoaScenario:
         if len(self.omega) != self.K:
             raise ValueError(f"expected {self.K} frequencies, got {len(self.omega)}")
         _check_frequencies(self.omega)
-        for i in range(self.K):
-            for j in range(i + 1, self.K):
-                if abs(self.omega[i] - self.omega[j]) <= MIN_FREQUENCY_GAP:
-                    raise ValueError("frequencies must be pairwise distinct")
+        # Rounding a difference is monotone, so the closest pair is adjacent once sorted.
+        ordered = sorted(self.omega)
+        if any(b - a <= MIN_FREQUENCY_GAP for a, b in zip(ordered, ordered[1:])):
+            raise ValueError("frequencies must be pairwise distinct")
         sig = as_hermitian(self.sigma_s)
         if sig.n != self.K:
             raise DimensionError(f"covariance must be {self.K} x {self.K}, got {sig.n}")
@@ -206,9 +206,12 @@ def rank_identity_check(
 ) -> bool:
     """Steering Gram matrix has rank and Kruskal rank both equal to min(P, K).
 
-    Holds for every choice of pairwise distinct frequencies; it is the
-    structural fact that makes the smoothing floor nonvacuous. The budget
-    bounds the steering block as in doa_bound.
+    In exact arithmetic it holds for every choice of pairwise distinct
+    frequencies; it is the structural fact that makes the smoothing floor
+    nonvacuous. Numerically the frequencies must lie far enough apart for
+    rank_numeric to resolve the Gram matrix: omega = (0.1, 0.1 + 1e-8)
+    with P = 2 passes the MIN_FREQUENCY_GAP check, yet gives False. The
+    budget bounds the steering block as in doa_bound.
     """
     _check_size(scenario, budget)
     v = build_steering(scenario.P, scenario.omega)

@@ -272,8 +272,7 @@ class ProjectionCertificate:
     rank below that order and lambda_min(C) >= hypothesis_threshold
     (submatrix.floor_mu); any other C, an indefinite one included, is
     scanned, so reading 0 moves no hypothesis verdict. The implication
-    hypothesis => conclusion always holds mathematically; `consistent` is
-    False only if the implementation itself is broken.
+    hypothesis => conclusion always holds mathematically.
     """
 
     hypothesis_holds: bool
@@ -282,10 +281,6 @@ class ProjectionCertificate:
     hypothesis_threshold: float
     lambda_min_product: float
     projection_rank: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.conclusion_holds or not self.hypothesis_holds
 
 
 def projection_certificate(
@@ -346,10 +341,6 @@ class IndefiniteCertificate:
     kappa_eff: float
     rank_b: int
     lambda_min_product: float
-
-    @property
-    def consistent(self) -> bool:
-        return self.conclusion_holds or not self.hypothesis_holds
 
 
 def indefinite_certificate(

@@ -607,20 +607,24 @@ def least_pivots(stack: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     """Per block of a (k, m, m) Hermitian stack: clears_floor's Cholesky, as (least, factor).
 
     least is each block's least pivot. A NaN pivot (the rest of a block
-    after a pivot at or below zero) reads as -inf, and so does every pivot
-    of a block that clears_floor never clears: one of order at most 2, or
-    with a norm outside NORM_BAND. Each pivot is a diagonal entry of a
-    Schur complement of S = B - sigma I, so it is at least lambda_min(S).
+    after a pivot at or below zero) reads as -inf, and so does the least
+    pivot of a block with a norm outside NORM_BAND. Each pivot is a
+    diagonal entry of a Schur complement of S = B - sigma I, so it is at
+    least lambda_min(S).
 
     factor, of shape (m, m, k) with the stack last, is the factorization
     S = L L^* for rayleigh_guesses: below the diagonal, column j of L; on
     the diagonal, the pivots as real parts, whose square roots are L's
     diagonal. Nothing else in it is of use. A block whose Cholesky failed
     has a NaN or infinite factor.
+
+    A stack that clears_floor never clears, an empty one or one of order at
+    most 2 (which stack_eigvals solves in closed form), is neither copied,
+    normed nor factored: every block reads -inf, and the factor is zero.
     """
     k, m = stack.shape[0], stack.shape[1]
-    if k == 0:
-        return np.full(0, -np.inf), np.zeros((m, m, 0), dtype=np.complex128)
+    if k == 0 or m <= 2:
+        return np.full(k, -np.inf), np.zeros((m, m, k), dtype=np.complex128)
     a = np.asarray(stack, dtype=np.complex128)
     floor = np.broadcast_to(np.asarray(floor, dtype=np.float64), (k,))
     lift = np.maximum(-floor, 0.0)
@@ -648,7 +652,7 @@ def least_pivots(stack: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
             s[j + 1 :, j + 1 :] -= col[:, None] * col.conj()[None, :]
         least = pivots.min(axis=0)
         band = (fro >= NORM_BAND[0]) & (fro <= NORM_BAND[1])
-        least[np.isnan(least) | ~band | (m <= 2)] = -np.inf
+        least[np.isnan(least) | ~band] = -np.inf
         return least, s
 
 

@@ -270,14 +270,17 @@ def suite_cp(rng: np.random.Generator, trials: int) -> SuiteResult:
 def _kruskal_bruteforce(arr: np.ndarray, tau_rel: float = 1e-9) -> int:
     """Column-subset SVD definition, evaluated with numpy only."""
     n_cols = arr.shape[1]
+    # More columns than rows are dependent, though svd reports only as many
+    # singular values as there are rows: no level above the row count passes.
+    most = min(arr.shape)
     sigma_max = float(np.linalg.svd(arr, compute_uv=False)[0])
     tau = tau_rel * sigma_max  # relative, as matcore.tol_for
-    for q in range(1, n_cols + 1):
+    for q in range(1, most + 1):
         for subset in itertools.combinations(range(n_cols), q):
             svals = np.linalg.svd(arr[:, subset], compute_uv=False)
             if float(svals[-1]) <= tau:
                 return q - 1
-    return n_cols
+    return most
 
 
 def _mu_bruteforce(arr: np.ndarray, m: int) -> float:

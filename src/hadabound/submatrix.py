@@ -166,29 +166,29 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
       either sign, is dropped: by the bridge in bracket_margin's docstring
       a converged solve would return a value above best, neither the
       minimum nor a tie with it;
-    - the rest are solved. A chunk of one block is solved whole, and so is
-      one with no block proved positive definite but every block proved
-      above -slack: every block is within rounding of singular (as when a
-      positive semidefinite matrix's rank is below m), so no incumbent
-      could clear another.
+    - the rest are solved. A chunk with no block proved positive definite
+      but every block proved above -slack is solved whole: every block is
+      within rounding of singular (as when a positive semidefinite matrix's
+      rank is below m), so no incumbent could clear another. So is a chunk
+      of order at most 2, which least_pivots never factors.
 
     Any incumbent is valid: it only sets how many blocks the drop leaves.
+    A lone block is its own incumbent, and its chunk takes the same steps.
     """
     best = (math.inf, ())
     for chunk, stack in _chunks(n, m, budget, blocks, whole=True):
-        if len(chunk) > 1:
-            fro, slack = _slack(stack)
-            pivots, factor = least_pivots(stack, 0.0)
-            if not np.any(pivots > 0.0) and not np.all(clears_floor(stack, -slack)):
-                pivots, factor = least_pivots(stack, -fro.max())
-            # None positive still: all near singular, orders <= 2, or norms no Cholesky clears.
-            if np.any(pivots > 0.0):
-                guesses = np.where(pivots > 0.0, rayleigh_guesses(stack, factor), -np.inf)
-                i = int(np.argmin(guesses))
-                best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
-                keep = ~clears_floor(stack, best[0] + slack)
-                keep[i] = False
-                chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
+        fro, slack = _slack(stack)
+        pivots, factor = least_pivots(stack, 0.0)
+        if not np.any(pivots > 0.0) and not np.all(clears_floor(stack, -slack)):
+            pivots, factor = least_pivots(stack, -fro.max())
+        # None positive still: all near singular, orders <= 2, or norms no Cholesky clears.
+        if np.any(pivots > 0.0):
+            guesses = np.where(pivots > 0.0, rayleigh_guesses(stack, factor), -np.inf)
+            i = int(np.argmin(guesses))
+            best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
+            keep = ~clears_floor(stack, best[0] + slack)
+            keep[i] = False
+            chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
         for subset, vals in zip(chunk, _solve(stack)):
             best = min(best, (float(vals[-1]), subset))
     return best
@@ -421,13 +421,11 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
         threshold = lambda top: tau
         rank = rank_numeric(gram, tau_rel)
 
-    def independent(q: int, whole: bool = False) -> bool:
-        if psd and q == n_cols:  # the block is the matrix itself, already solved
-            return not spectrum[-1] <= threshold(spectrum[0])
+    def independent(q: int) -> bool:
         if psd and q > max(rank, 2) and interlaced(q):
             check_budget(n_cols, q, budget)  # where the level's draw would check it
             return False
-        for _, stack in _chunks(n_cols, q, budget, blocks, whole):
+        for _, stack in _chunks(n_cols, q, budget, blocks, whole=q == rank):
             fro, slack = _slack(stack)
             # U = fro + slack bounds every eigenvalue a converged solve can return.
             spectra = _solve(stack[~clears_floor(stack, threshold(fro + slack) + slack)])
@@ -443,7 +441,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     try:
         q = walk_up(rank)
         if q == rank:
-            while q > 0 and not independent(q, whole=q == rank):
+            while q > 0 and not independent(q):
                 q -= 1
         return q
     except BudgetExceededError:

@@ -94,6 +94,13 @@ class TestDoaScenario:
         with pytest.raises(DimensionError):
             coherent_scenario(sigma_s=np.eye(3))
 
+    def test_near_duplicate_frequencies_far_apart_in_input_order(self):
+        omega = (0.1, -0.5, 0.7, -2.0, 0.1 + 1e-10)
+        with pytest.raises(ValueError, match="frequencies must be pairwise distinct"):
+            DoaScenario(N=7, K=5, P=3, omega=omega, sigma_s=np.eye(5))
+        # Just past the gap, the same order is accepted.
+        DoaScenario(N=7, K=5, P=3, omega=omega[:-1] + (0.1 + 2e-9,), sigma_s=np.eye(5))
+
     def test_smoothing_forms_agree_on_golden_scenario(self):
         s = coherent_scenario()
         direct = smoothed_cov_direct(s)
@@ -187,6 +194,12 @@ class TestDoaBound:
                 N=5, K=4, P=2, omega=(-2.0, -0.6, 0.5, 1.7), sigma_s=np.eye(4)
             )
         )
+
+    def test_rank_identity_fails_on_frequencies_the_rank_cannot_resolve(self):
+        # The pair passes the MIN_FREQUENCY_GAP check, but its Gram is
+        # numerically of rank 1.
+        s = DoaScenario(N=4, K=2, P=2, omega=(0.1, 0.1 + 1e-8), sigma_s=np.eye(2))
+        assert not rank_identity_check(s)
 
 
 ORTHO_A = np.array(

@@ -146,7 +146,17 @@ class TestBoundCommand:
         )
         assert code == 0
         assert isinstance(doc["timing_ms"], float)
-        assert doc["timing_ms"] >= 0.0
+        assert math.isfinite(doc["timing_ms"]) and doc["timing_ms"] >= 0.0
+        code, plain = run(
+            capsys,
+            "bound",
+            "--a", fixture_path("singular_pair_a.mtx"),
+            "--b", fixture_path("singular_pair_b.mtx"),
+        )
+        assert code == 0 and plain["timing_ms"] is None
+        assert {k: doc[k] for k in ("command", "inputs", "results")} == {
+            k: plain[k] for k in ("command", "inputs", "results")
+        }
 
     def test_vanishing_diagonal_fails_cleanly(self, tmp_path, capsys):
         b_path = str(tmp_path / "b.mtx")
@@ -466,6 +476,15 @@ class TestCertificateCommands:
         assert (code, doc["results"]["status"]) == (0, "verified")
         assert doc["results"]["mu"] == 1.0
 
+    def test_projection_of_another_size_is_refused(self, capsys, tmp_path):
+        write_matrix(np.diag([1.0, 1.0, 0.0, 0.0]), tmp_path / "p.mtx")
+        code = dispatch(
+            ["projection", "--c", fixture_path("indefinite_c.mtx"), "--p", str(tmp_path / "p.mtx")]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: operand sizes differ: 3 vs 4\n"
+
     def test_certify_indefinite_from_shift(self, capsys):
         code, doc = run(
             capsys,
@@ -581,6 +600,23 @@ class TestScenarioCommands:
         code = dispatch(["cp-bound", "--scenario", str(path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_cp_with_zero_scores(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        path.write_text(json.dumps({"d": 2, "A_load": eye, "B_load": eye, "g": [[0.0, 0.0]] * 2}))
+        code = dispatch(["cp-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: score Gram matrix is numerically zero\n"
+
+    def test_doa_without_sources(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"N": 4, "K": 0, "P": 2, "omega": [], "sigma_s": [[1.0]]}))
+        code = dispatch(["doa-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: need at least one source\n"
 
     def test_cp_without_factors(self, tmp_path, capsys):
         path = tmp_path / "s.json"

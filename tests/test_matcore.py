@@ -1011,6 +1011,18 @@ class TestClearsFloor:
             assert not matcore.clears_floor(np.eye(m)[None], 0.0).any()
         assert matcore.clears_floor(np.eye(3)[:0], 0.0).shape == (0,)
 
+    def test_a_stack_no_cholesky_clears_is_neither_normed_nor_factored(self, monkeypatch):
+        normed = []
+        real = matcore._frobenius
+        monkeypatch.setattr(matcore, "_frobenius", lambda w: normed.append(len(w)) or real(w))
+        for m, k in ((1, 4), (2, 4), (2, 0), (3, 0)):
+            least, factor = matcore.least_pivots(np.broadcast_to(np.eye(m), (k, m, m)), 0.0)
+            assert np.array_equal(least, np.full(k, -np.inf))
+            assert factor.shape == (m, m, k) and not factor.any()
+        assert normed == []
+        assert matcore.clears_floor(np.eye(3)[None], 0.0).all()
+        assert normed == [1, 1]  # the norm and the deviation of one order-3 block
+
 
 class TestNegativeFloors:
     """A floor below zero raises the shifted diagonal by |floor|, and Rump's constant with it.

@@ -260,6 +260,17 @@ class TestKruskalRank:
         for mat in (v.conj().T @ v, v.T @ v):  # 6 x 6 of rank 4, PSD and not
             assert _kruskal_bruteforce(mat * 2.0**-40) == _kruskal_bruteforce(mat) == 4
 
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (6, 4)])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_selftest_oracle_on_wide_square_and_tall_inputs(self, shape, repeat):
+        """More columns than rows are dependent: the oracle stops at the row count."""
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if repeat:
+            v[:, -1] = v[:, 0]
+        want = 1 if repeat else min(shape)
+        assert _kruskal_bruteforce(v) == kruskal_rank(v) == want
+
     def test_can_exceed_the_numeric_rank(self):
         # The 2x2 blocks' small eigenvalue 2.5e-6 clears their own threshold
         # 2e-6 but not the matrix's 3e-6, so the walk must probe above r.
@@ -510,12 +521,13 @@ class TestScanChunks:
 
     def test_a_level_interlacing_cannot_decide_is_drawn(self, drawn):
         # lambda_q = 2.5e-6 lies above threshold(max a_ii) = 6e-7 at every q,
-        # so the walk up from r = 1 draws each level below n, as before.
+        # so the walk up from r = 1 draws each level, n included: the
+        # screen cannot prove level n's one block, which is then solved.
         v = np.ones(5) / math.sqrt(5.0)
         a = 3e3 * np.outer(v, v) + 2.5e-6 * (np.eye(5) - np.outer(v, v))
         assert matcore.rank_numeric(a) == 1
         assert kruskal_rank(a) == 4
-        assert drawn == [[(5, 2), 10], [(5, 3), 10], [(5, 4), 5]]
+        assert drawn == [[(5, 2), 10], [(5, 3), 10], [(5, 4), 5], [(5, 5), 1]]
 
     def test_an_interlaced_level_over_the_budget_raises_as_its_draw_would(self, drawn):
         rng = np.random.default_rng(864)
