@@ -18,6 +18,7 @@ Two consumers of the same inequality:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -52,8 +53,10 @@ class DoaScenario:
 
     N sensors, K narrowband sources at electrical frequencies omega
     (radians, in [-pi, pi), pairwise distinct), P forward subarrays, and a
-    K x K positive semidefinite source covariance sigma_s. Keys match the
-    on-disk scenario schema.
+    K x K Hermitian source covariance sigma_s. Keys match the on-disk
+    scenario schema. The constructor does not judge sigma_s positive
+    semidefinite: doa_bound does, at its own tau_rel, through
+    require_source_psd (and so does the command line loader).
     """
 
     N: int
@@ -80,8 +83,12 @@ class DoaScenario:
         sig = as_hermitian(self.sigma_s)
         if sig.n != self.K:
             raise DimensionError(f"covariance must be {self.K} x {self.K}, got {sig.n}")
-        require_psd(sig, DEFAULT_TOL_REL, "source covariance")
         object.__setattr__(self, "sigma_s", sig)
+
+    @functools.cached_property
+    def smoothed(self) -> HermitianMatrix:
+        """smoothed_cov_direct(self), built once per scenario: its sum has P terms."""
+        return smoothed_cov_direct(self)
 
 
 def _check_frequencies(omega) -> None:
@@ -103,6 +110,21 @@ def _check_size(scenario: DoaScenario, budget: int) -> None:
             f"the P x K steering block, P = {scenario.P} by K = {scenario.K}, has {size} "
             f"entries, which exceeds the budget of {budget}; raise the budget or reduce P"
         )
+
+
+def require_source_psd(scenario: DoaScenario, tau_rel: float, budget: int) -> None:
+    """Refuse, with NotPsdError, a scenario whose sigma_s is not positive semidefinite at tau_rel.
+
+    When the P x K steering block is within the budget (_check_size), the
+    smoothed covariance (DoaScenario.smoothed) is built, and it and sigma_s,
+    both of order K, are solved as one stack (matcore.solve_spectra), so
+    doa_bound reads both spectra from the memo. A scenario over the budget
+    builds nothing here, and a non-PSD sigma_s is refused before its size
+    is.
+    """
+    if scenario.P * scenario.K <= budget:
+        solve_spectra(scenario.sigma_s, lambda: scenario.smoothed)
+    require_psd(scenario.sigma_s, tau_rel, "source covariance")
 
 
 def build_steering(n: int, omega) -> np.ndarray:
@@ -170,10 +192,12 @@ def doa_bound(
 ) -> DoaBoundReport:
     """Certified floor for the smoothed covariance of the given scenario.
 
+    sigma_s must be positive semidefinite at tau_rel (require_source_psd).
     A scenario whose P x K steering block has more entries than budget is
-    refused with BudgetExceededError before anything is built, and so is
-    one whose C(K, m) subsets exceed it, even when P < m spares the scan.
+    then refused with BudgetExceededError before anything is built, and so
+    is one whose C(K, m) subsets exceed it, even when P < m spares the scan.
     """
+    require_source_psd(scenario, tau_rel, budget)
     _check_size(scenario, budget)
     r, m, kappa = floor_order(scenario.sigma_s, tau_rel, "source covariance")
     if scenario.P < m:
@@ -185,7 +209,7 @@ def doa_bound(
     tilde_sq = tilde * tilde
     min_diag = float(np.min(scenario.sigma_s.diagonal()))
     bound = tilde_sq * min_diag / kappa
-    vals = eigvals_hermitian(smoothed_cov_direct(scenario))
+    vals = eigvals_hermitian(scenario.smoothed)
     tol = tol_for(vals[0], tau_rel)
     return DoaBoundReport(
         r_sigma_s=r,

@@ -178,18 +178,24 @@ def _scenario(path: str, fields: tuple[str, ...]):
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
-def load_doa_scenario(path: str) -> DoaScenario:
-    from .apps import DoaScenario
+def load_doa_scenario(path: str, tau_rel: float, budget: int) -> DoaScenario:
+    """The scenario in path, with sigma_s checked by apps.require_source_psd.
+
+    The check runs inside _scenario, so its refusal names the file.
+    """
+    from .apps import DoaScenario, require_source_psd
 
     with _scenario(path, ("N", "K", "P", "omega", "sigma_s")) as doc:
         sigma = HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s"))
-        return DoaScenario(
+        scenario = DoaScenario(
             N=_integer(doc, "N"),
             K=_integer(doc, "K"),
             P=_integer(doc, "P"),
             omega=tuple(_numbers(doc["omega"], "omega")),
             sigma_s=sigma,
         )
+        require_source_psd(scenario, tau_rel, budget)
+        return scenario
 
 
 def load_cp_scenario(path: str) -> CpScenario:
@@ -343,7 +349,7 @@ def _cmd_certify_indefinite(args) -> tuple[dict, list]:
 def _cmd_doa_bound(args) -> tuple[dict, list]:
     from .apps import doa_bound
 
-    scenario = load_doa_scenario(args.scenario)
+    scenario = load_doa_scenario(args.scenario, args.tol, args.budget)
     report = doa_bound(scenario, args.tol, args.budget)
     return (
         dataclasses.asdict(report),

@@ -11,11 +11,16 @@ those chunks. Every block a scan solves runs to convergence, through
 _solve; before the solve, the one Cholesky kernel, matcore.clears_floor,
 decides which blocks need none.
 
-A minimum scan solves one block of each chunk first, its incumbent: the
-block with the least Rayleigh quotient after a few steps of inverse
-iteration on its Cholesky factor (matcore.rayleigh_guesses). It then
-drops every block that clears_floor proves above the least value so far
-by the solver's own error bound (see _least_block). A Kruskal level asks
+A minimum scan carries the least value solved so far across chunks, and
+first drops every block of a chunk that clears_floor proves above it by
+the solver's own error bound; a chunk with no block left is done. Of the
+rest it solves one block first, its incumbent: the block with the least
+Rayleigh quotient after a few steps of inverse iteration on its Cholesky
+factor (matcore.rayleigh_guesses), refined by a second factorization a
+fraction below the least quotient (see _incumbent). It then drops every
+block proved above the new least value, and solves what is left (see
+_least_block). Any incumbent keeps every bit: it is solved as any block
+is, and only sets how many blocks are dropped. A Kruskal level asks
 only whether every block's lambda_min clears its threshold, so it drops
 every block proved above the threshold by that bound; on the PSD path, a
 level above the numeric rank that Cauchy interlacing already proves
@@ -147,6 +152,59 @@ def _slack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fro, bracket_margin(stack.shape[1]) * fro
 
 
+# The incumbent's second pass (see _incumbent): it factors the blocks whose
+# first-pass quotient is at most g + SECOND_REACH |g|, g the least, at the
+# floor g - SECOND_FLOOR |g|, and runs only when at least SECOND_COUNT
+# blocks lie that near.
+SECOND_FLOOR = 0.15
+SECOND_REACH = 0.2
+SECOND_COUNT = 8
+
+
+def _least_guess(stack: np.ndarray, pivots: np.ndarray, factor: np.ndarray):
+    """(i, quotients): the first block whose Cholesky failed, with None, or the least quotient.
+
+    pivots and factor are least_pivots' over the stack; the quotients are
+    rayleigh_guesses on that factor, computed only when every pivot is
+    positive.
+    """
+    failed = np.flatnonzero(~(pivots > 0.0))
+    if len(failed):
+        return int(failed[0]), None
+    quotients = rayleigh_guesses(stack, factor)
+    return int(np.argmin(quotients)), quotients
+
+
+def _incumbent(stack: np.ndarray, pivots: np.ndarray, factor: np.ndarray) -> int:
+    """The block of a chunk that a minimum scan solves first: a guess at its argmin.
+
+    pivots and factor are least_pivots' first pass over the stack. A block
+    whose Cholesky failed there has its lambda_min at or near the bottom,
+    and the first such block is taken. Otherwise let g be the least
+    rayleigh_guesses quotient. Inverse iteration shifted far below a
+    block's lambda_min converges slowly when its two least eigenvalues lie
+    close, so its quotient may sit above those of blocks with a larger
+    lambda_min. When at least SECOND_COUNT quotients are at most
+    g + SECOND_REACH |g|, those blocks are factored again at
+    g - SECOND_FLOOR |g|, nearer the least lambda_min, which lies at or
+    below g. The incumbent is then the first of them whose Cholesky fails
+    there, else the one with the least quotient on the new factor. With
+    fewer of them g's block is taken: the second pass costs about half a
+    lone solve at order 6, whatever its count, and it pays only when many
+    blocks compete for the least value.
+    """
+    i, quotients = _least_guess(stack, pivots, factor)
+    if quotients is None:
+        return i
+    g = float(quotients[i])
+    near = np.flatnonzero(quotients <= g + SECOND_REACH * abs(g))
+    if len(near) < SECOND_COUNT:
+        return i
+    candidates = stack[near]
+    j, _ = _least_guess(candidates, *least_pivots(candidates, g - SECOND_FLOOR * abs(g)))
+    return int(near[j])
+
+
 def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int, ...]]:
     """(least lambda_min, its lexicographically first subset) over all C(n, m) blocks.
 
@@ -154,37 +212,45 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
     chunks, so equal values keep the first subset. Each chunk is screened
     before its solve, with slack = matcore.bracket_margin(m) ||W||_F:
 
-    - its incumbent, a guess at its argmin, is solved alone and taken into
-      best. The chunk is factored at floor 0 when some block is proved
-      positive definite there, and otherwise at floor -max ||W||_F, below
-      every block's lambda_min, so that every Cholesky completes. The
-      incumbent is the first block whose Cholesky failed at that floor (its
-      lambda_min lies at or near the bottom) if there is one, and otherwise
-      the block with the least matcore.rayleigh_guesses quotient on its
-      factor;
-    - every block that clears_floor proves above best + slack, a floor of
-      either sign, is dropped: by the bridge in bracket_margin's docstring
-      a converged solve would return a value above best, neither the
-      minimum nor a tie with it;
+    - once best is finite, every block that clears_floor proves above
+      best + slack, a floor of either sign, is dropped first: by the
+      bridge in bracket_margin's docstring a converged solve would return
+      a value above best, neither the minimum nor a tie with it. A chunk
+      with no block left takes no further step;
+    - the incumbent of the rest (_incumbent), a guess at its argmin, is
+      solved alone and taken into best. The chunk is factored at floor 0
+      when some block is proved positive definite there, and otherwise at
+      floor -max ||W||_F, below every block's lambda_min, so that every
+      Cholesky completes;
+    - every block that clears_floor proves above the new best + slack is
+      dropped, as before;
     - the rest are solved. A chunk with no block proved positive definite
       but every block proved above -slack is solved whole: every block is
       within rounding of singular (as when a positive semidefinite matrix's
       rank is below m), so no incumbent could clear another. So is a chunk
       of order at most 2, which least_pivots never factors.
 
-    Any incumbent is valid: it only sets how many blocks the drop leaves.
-    A lone block is its own incumbent, and its chunk takes the same steps.
+    Any incumbent keeps the bits: it is solved as it would be in any
+    stack, and only sets how many blocks the drop leaves. Every block that
+    is not dropped is solved, so best ends as the least (value, subset)
+    over every converged solve. A lone block is its own incumbent, and its
+    chunk takes the same steps.
     """
     best = (math.inf, ())
     for chunk, stack in _chunks(n, m, budget, blocks, whole=True):
         fro, slack = _slack(stack)
+        if best[0] < math.inf:
+            keep = ~clears_floor(stack, best[0] + slack)
+            if not keep.any():
+                continue
+            chunk, stack = list(itertools.compress(chunk, keep)), stack[keep]
+            fro, slack = fro[keep], slack[keep]
         pivots, factor = least_pivots(stack, 0.0)
         if not np.any(pivots > 0.0) and not np.all(clears_floor(stack, -slack)):
             pivots, factor = least_pivots(stack, -fro.max())
         # None positive still: all near singular, orders <= 2, or norms no Cholesky clears.
         if np.any(pivots > 0.0):
-            guesses = np.where(pivots > 0.0, rayleigh_guesses(stack, factor), -np.inf)
-            i = int(np.argmin(guesses))
+            i = _incumbent(stack, pivots, factor)
             best = min(best, (float(stack_eigvals(stack[i : i + 1])[0, -1]), chunk[i]))
             keep = ~clears_floor(stack, best[0] + slack)
             keep[i] = False

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hadabound import apps
+from hadabound import apps, matcore
 from hadabound.apps import (
     CpScenario,
     DoaScenario,
@@ -89,8 +89,8 @@ class TestDoaScenario:
             coherent_scenario(omega=(0.5, 0.5))
         with pytest.raises(ValueError):
             coherent_scenario(omega=(0.5,))
-        with pytest.raises(NotPsdError):
-            coherent_scenario(sigma_s=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotPsdError):  # judged by doa_bound, at its tau_rel
+            doa_bound(coherent_scenario(sigma_s=np.array([[1.0, 2.0], [2.0, 1.0]])))
         with pytest.raises(DimensionError):
             coherent_scenario(sigma_s=np.eye(3))
 
@@ -169,6 +169,31 @@ class TestDoaBound:
         assert rep.bound_holds and not rep.positivity_predicted and not rep.bound_positive
         with pytest.raises(BudgetExceededError, match="C\\(10,6\\) = 210"):
             doa_bound(s, budget=209)
+
+    def test_both_carriers_are_solved_as_one_stack(self, monkeypatch):
+        """sigma_s and the smoothed covariance, both of order K, reach the solver together."""
+        rng = np.random.default_rng(1731)
+        f = rng.normal(size=(10, 5)) + 1j * rng.normal(size=(10, 5))
+        omega = tuple(-3.0 + 0.6 * k for k in range(10))
+
+        def report():
+            matcore._MEMO.clear()
+            s = DoaScenario(N=20, K=10, P=10, omega=omega, sigma_s=f @ f.conj().T)  # m = 6
+            return repr(doa_bound(s))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(apps, "solve_spectra", lambda *carriers: None)
+            alone = report()  # each carrier solved on its own
+        real = matcore._jacobi
+        stacks = []
+
+        def counting(w, v=None):
+            stacks.append(w.shape[:2])  # (blocks, order)
+            return real(w, v)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        assert report() == alone
+        assert [k for k, order in stacks if order == 10] == [2]
 
     def test_bound_never_exceeds_oracle(self):
         rng = np.random.default_rng(42)

@@ -854,7 +854,7 @@ class TestSharedRefusals:
             (lambda: shift_construction(A, C, 1.0), "second factor"),
             (lambda: effective_condition_number(C), "matrix"),
             (
-                lambda: DoaScenario(N=4, K=3, P=2, omega=(-1.0, 0.0, 1.0), sigma_s=C),
+                lambda: doa_bound(DoaScenario(N=4, K=3, P=2, omega=(-1.0, 0.0, 1.0), sigma_s=C)),
                 "source covariance",
             ),
             (lambda: cp_bound(CP_ROUNDED, 1e-20), "second loading Gram matrix"),

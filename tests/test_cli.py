@@ -652,6 +652,54 @@ class TestScenarioCommands:
         assert captured.err.startswith("error: the P x K steering block, " + named)
         assert "exceeds the budget" in captured.err and captured.err.count("\n") == 1
 
+    NOT_PSD = [[1.0, 2.0], [2.0, 1.0]]
+    NOT_PSD_ERR = "source covariance must be positive semidefinite; witness eigenvalue "
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"N": 4, "K": 2, "P": 2, "sigma_s": NOT_PSD}, True),
+            ({"N": 10**12, "K": 2, "P": 10**12, "sigma_s": np.eye(2).tolist()}, False),
+            ({"N": 10**12, "K": 2, "P": 10**12, "sigma_s": NOT_PSD}, True),
+        ],
+        ids=["not PSD", "over the budget", "both"],
+    )
+    def test_doa_refusals_keep_their_order_and_words(self, tmp_path, capsys, doc, named):
+        """A non-PSD sigma_s is refused first, naming the file; the steering block's size next."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**doc, "omega": [-0.5, 0.7]}))
+        code = dispatch(["doa-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        if named:
+            assert captured.err == f"error: {path}: {self.NOT_PSD_ERR}-1.000000e+00\n"
+        else:
+            assert captured.err == (
+                "error: the P x K steering block, P = 1000000000000 by K = 2, has "
+                "2000000000000 entries, which exceeds the budget of 2000000; "
+                "raise the budget or reduce P\n"
+            )
+
+    @pytest.mark.parametrize(
+        "low,tol,code",
+        [
+            (-1e-8, [], 2),
+            (-1e-8, ["--tol", "1e-6"], 0),
+            (-1e-11, [], 0),
+            (-1e-11, ["--tol", "1e-12"], 2),
+        ],
+    )
+    def test_doa_source_covariance_is_judged_at_the_tolerance(
+        self, tmp_path, capsys, low, tol, code
+    ):
+        """sigma_s = diag(1, low) is PSD exactly when |low| <= --tol, as kappa judges it."""
+        path = tmp_path / "s.json"
+        doc = {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": [[1.0, 0.0], [0.0, low]]}
+        path.write_text(json.dumps(doc))
+        assert dispatch(["doa-bound", "--scenario", str(path), *tol]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: {path}: {self.NOT_PSD_ERR}{low:.6e}\n")
+
     def test_malformed_json_carries_location(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text('{"N": 4,\n x}')

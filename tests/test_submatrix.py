@@ -780,6 +780,72 @@ class TestMinimumScreen:
         # Of C(10, 6) = 210 Gram blocks each; the incumbent is one of them.
         assert sorted(solved)[3] <= 3 and max(solved) <= 30
 
+    def test_doa_steering_scans_solve_their_argmin_alone(self, monkeypatch):
+        """The same steering Grams, seeds 0-11: the incumbent's second pass finds each argmin."""
+        real = matcore._jacobi
+        solved = []
+
+        def counting(w, v=None):
+            solved[-1] += len(w)
+            return real(w, v)
+
+        for seed in range(12):
+            jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, 10)
+            v = build_steering(10, tuple(-math.pi + (np.arange(10) + 0.5 + jitter) * math.pi / 5))
+            want = per_subset_sv(v, 6)
+            solved.append(0)
+            with monkeypatch.context() as patched:
+                patched.setattr(matcore, "_jacobi", counting)
+                assert repr(min_subset_singular_value(v, 6)) == repr(want)
+        assert solved == [1] * 12  # the incumbent alone; every other block is cleared
+
+    @staticmethod
+    def near_least_mu(a, m):
+        """per_subset_mu's result, solving only the blocks near the least lambda_min.
+
+        LAPACK places every block's lambda_min; a block more than
+        1e-6 ||A||_F above the least is far above the error of either
+        solver, so it can be neither per_subset_mu's minimum nor a tie.
+        The rest are solved one at a time in lexicographic order.
+        """
+        subsets = np.array(list(itertools.combinations(range(a.shape[0]), m)))
+        low = np.concatenate([
+            np.linalg.eigvalsh(a[idx[:, :, None], idx[:, None, :]])[:, 0]
+            for idx in np.array_split(subsets, -(-len(subsets) // 4096))
+        ])
+        best = None
+        for s in subsets[low <= low.min() + 1e-6 * np.linalg.norm(a)]:
+            value = stack_eigvals(a[np.ix_(s, s)][None])[0][-1]
+            if best is None or value < best[0]:
+                best = (value, tuple(int(i) for i in s))
+        return float(best[0]), best[1]
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_later_chunks_are_cleared_against_the_carried_best(self, monkeypatch, n):
+        """Full-rank inputs at m = n - n // 2 + 1 span 45 and 171 chunks; a few blocks are solved.
+
+        A is perfbench's psd(rng_for(1, n), n, n, frame_rows=n + 2).
+        """
+        rng = np.random.default_rng([1, n])
+        shape = (n + 2, n)
+        f = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        g = f.conj().T @ f
+        a = 0.5 * (g + g.conj().T)
+        m = n - n // 2 + 1
+        value, subset = self.near_least_mu(a, m)
+        matcore._MEMO.clear()
+        real = matcore._jacobi
+        solved = []
+
+        def counting(w, v=None):
+            solved.append(len(w))
+            return real(w, v)
+
+        monkeypatch.setattr(matcore, "_jacobi", counting)
+        res = min_submatrix_eigenvalue(a, m)
+        assert (repr(res.value), res.argmin_subset) == (repr(value), subset)
+        assert sum(solved) <= 8
+
     def test_negative_floor_incumbent_is_guessed_on_that_floors_factor(self, monkeypatch):
         rng = np.random.default_rng(889)
         a = random_hermitian(rng, 8)
@@ -802,8 +868,10 @@ class TestMinimumScreen:
         res = self.check_mu(a, 4)
         assert res.value < 0.0
         blocks = submatrix._principal_blocks(a)(np.array(list(itertools.combinations(range(8), 4))))
-        assert floors == [0.0, -np.linalg.norm(blocks, axis=(1, 2)).max()]
-        assert len(guessed) == 1 and guessed[0] is factors[1]
+        # The first guess is made on the negative floor's factor; the
+        # incumbent's second pass factors again below the least guess.
+        assert floors[:2] == [0.0, -np.linalg.norm(blocks, axis=(1, 2)).max()]
+        assert len(guessed) == 2 and guessed[0] is factors[1] and guessed[1] is factors[2]
 
     def test_repeated_columns(self):
         rng = np.random.default_rng(885)
