@@ -55,8 +55,7 @@ class DoaScenario:
     (radians, in [-pi, pi), pairwise distinct), P forward subarrays, and a
     K x K Hermitian source covariance sigma_s. Keys match the on-disk
     scenario schema. The constructor does not judge sigma_s positive
-    semidefinite: doa_bound does, at its own tau_rel, through
-    require_source_psd (and so does the command line loader).
+    semidefinite: doa_bound does, at its own tau_rel.
     """
 
     N: int
@@ -110,21 +109,6 @@ def _check_size(scenario: DoaScenario, budget: int) -> None:
             f"the P x K steering block, P = {scenario.P} by K = {scenario.K}, has {size} "
             f"entries, which exceeds the budget of {budget}; raise the budget or reduce P"
         )
-
-
-def require_source_psd(scenario: DoaScenario, tau_rel: float, budget: int) -> None:
-    """Refuse, with NotPsdError, a scenario whose sigma_s is not positive semidefinite at tau_rel.
-
-    When the P x K steering block is within the budget (_check_size), the
-    smoothed covariance (DoaScenario.smoothed) is built, and it and sigma_s,
-    both of order K, are solved as one stack (matcore.solve_spectra), so
-    doa_bound reads both spectra from the memo. A scenario over the budget
-    builds nothing here, and a non-PSD sigma_s is refused before its size
-    is.
-    """
-    if scenario.P * scenario.K <= budget:
-        solve_spectra(scenario.sigma_s, lambda: scenario.smoothed)
-    require_psd(scenario.sigma_s, tau_rel, "source covariance")
 
 
 def build_steering(n: int, omega) -> np.ndarray:
@@ -192,12 +176,19 @@ def doa_bound(
 ) -> DoaBoundReport:
     """Certified floor for the smoothed covariance of the given scenario.
 
-    sigma_s must be positive semidefinite at tau_rel (require_source_psd).
-    A scenario whose P x K steering block has more entries than budget is
-    then refused with BudgetExceededError before anything is built, and so
-    is one whose C(K, m) subsets exceed it, even when P < m spares the scan.
+    sigma_s must be positive semidefinite at tau_rel, or NotPsdError is
+    raised. A scenario whose P x K steering block has more entries than
+    budget is then refused with BudgetExceededError, and so is one whose
+    C(K, m) subsets exceed it, even when P < m spares the scan.
+
+    Within the budget, sigma_s and the smoothed covariance
+    (DoaScenario.smoothed), both of order K, are solved as one stack
+    before sigma_s is judged; over it nothing is built, and a non-PSD
+    sigma_s is refused before the size is.
     """
-    require_source_psd(scenario, tau_rel, budget)
+    if scenario.P * scenario.K <= budget:
+        solve_spectra(scenario.sigma_s, lambda: scenario.smoothed)
+    require_psd(scenario.sigma_s, tau_rel, "source covariance")
     _check_size(scenario, budget)
     r, m, kappa = floor_order(scenario.sigma_s, tau_rel, "source covariance")
     if scenario.P < m:
@@ -338,8 +329,9 @@ def cp_m1(scenario: CpScenario) -> CpM1:
 class CpBoundReport:
     """Floor for the smallest positive eigenvalue of the moment matrix.
 
-    hadamard_floor bounds lambda_min of the core G o B*B (B*B has a unit
-    diagonal, so no diagonal factor appears); m1_floor multiplies it by the
+    hadamard_floor = mu min diag(B*B) / kappa_eff bounds lambda_min of the
+    core G o B*B; min diag(B*B) lies within about 2e-9 of 1, as CpScenario
+    accepts column norms within 1e-9 of 1. m1_floor multiplies it by the
     d1-th squared singular value of the first loading. condition_met
     records whether the Kruskal rank of G reaches d - rank(B*B) + 1, the
     regime in which the floors are positive. mu is the least lambda_min
@@ -374,7 +366,7 @@ def cp_bound(
     if rank_numeric(g_mat, tau_rel) == 0:
         raise ZeroMatrixError("score Gram matrix is numerically zero")
     mu = floor_mu(g_mat, m, tau_rel, budget)
-    hadamard_floor = mu / kappa
+    hadamard_floor = mu * float(np.min(btb.diagonal())) / kappa
 
     d1, sigma_d1_sq = least_positive(scenario.a_load.T @ scenario.a_load, tau_rel)
     m1_floor = sigma_d1_sq * hadamard_floor

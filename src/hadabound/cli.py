@@ -178,27 +178,22 @@ def _scenario(path: str, fields: tuple[str, ...]):
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
-def load_doa_scenario(path: str, tau_rel: float, budget: int) -> DoaScenario:
-    """The scenario in path, with sigma_s checked by apps.require_source_psd.
-
-    The check runs inside _scenario, so its refusal names the file.
-    """
-    from .apps import DoaScenario, require_source_psd
+def load_doa_scenario(path: str) -> DoaScenario:
+    """The scenario in path, parsed and built, with nothing solved: doa_bound judges sigma_s."""
+    from .apps import DoaScenario
 
     with _scenario(path, ("N", "K", "P", "omega", "sigma_s")) as doc:
-        sigma = HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s"))
-        scenario = DoaScenario(
+        return DoaScenario(
             N=_integer(doc, "N"),
             K=_integer(doc, "K"),
             P=_integer(doc, "P"),
             omega=tuple(_numbers(doc["omega"], "omega")),
-            sigma_s=sigma,
+            sigma_s=HermitianMatrix(_complex_array(doc["sigma_s"], "sigma_s")),
         )
-        require_source_psd(scenario, tau_rel, budget)
-        return scenario
 
 
 def load_cp_scenario(path: str) -> CpScenario:
+    """The scenario in path, parsed and built, with nothing solved."""
     from .apps import CpScenario
 
     with _scenario(path, ("d", "A_load", "B_load", "g")) as doc:
@@ -234,13 +229,23 @@ def emit_report(doc: dict, path: str | None) -> None:
 _INPUT_KEYS = ("a", "b", "c", "p", "scenario", "m", "fraction", "tol", "budget", "seed")
 
 
-def _from_file(path: str, build=HermitianMatrix):
-    """build(the matrix in a file); an error of build names the file, as parse errors do."""
-    arr = parse_matrix(path)
+def _naming(path: str, compute, *args):
+    """compute(*args), with the input file path named in any ValueError it raises.
+
+    The one place a refusal of a one-input command gets its file. Handlers
+    call it after their loader, whose own errors already name the file, so
+    no refusal names it twice. Other errors pass unchanged: a TypeError
+    stays a traceback.
+    """
     try:
-        return build(arr)
+        return compute(*args)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _from_file(path: str, build=HermitianMatrix):
+    """build(the matrix in a file), through _naming."""
+    return _naming(path, build, parse_matrix(path))
 
 
 def _verdict(fields: dict, checks) -> tuple[int, dict]:
@@ -288,15 +293,15 @@ def _cmd_classical(args) -> tuple[dict, list]:
 
 
 def _cmd_kruskal(args) -> tuple[dict, None]:
-    arr = parse_matrix(args.a)
-    return {"kruskal_rank": kruskal_rank(arr, args.tol, args.budget)}, None
+    rank = _naming(args.a, kruskal_rank, parse_matrix(args.a), args.tol, args.budget)
+    return {"kruskal_rank": rank}, None
 
 
 def _cmd_mu(args) -> tuple[dict, None]:
     a = _from_file(args.a)
     if not 1 <= args.m <= a.n:
         raise ValueError(f"--m must lie in [1, {a.n}], got {args.m}")
-    result = min_submatrix_eigenvalue(a, args.m, args.budget)
+    result = _naming(args.a, min_submatrix_eigenvalue, a, args.m, args.budget)
     return {
         "value": result.value,
         "argmin_subset": list(result.argmin_subset),
@@ -305,8 +310,8 @@ def _cmd_mu(args) -> tuple[dict, None]:
 
 
 def _cmd_kappa(args) -> tuple[dict, None]:
-    b = _from_file(args.b)
-    return {"kappa_eff": effective_condition_number(b, args.tol)}, None
+    kappa = _naming(args.b, effective_condition_number, _from_file(args.b), args.tol)
+    return {"kappa_eff": kappa}, None
 
 
 def _certificate_checks(cert) -> list[tuple[bool, str]]:
@@ -349,8 +354,8 @@ def _cmd_certify_indefinite(args) -> tuple[dict, list]:
 def _cmd_doa_bound(args) -> tuple[dict, list]:
     from .apps import doa_bound
 
-    scenario = load_doa_scenario(args.scenario, args.tol, args.budget)
-    report = doa_bound(scenario, args.tol, args.budget)
+    scenario = load_doa_scenario(args.scenario)
+    report = _naming(args.scenario, doa_bound, scenario, args.tol, args.budget)
     return (
         dataclasses.asdict(report),
         [(report.bound_holds, "bound exceeds the smallest smoothed eigenvalue")],
@@ -361,7 +366,7 @@ def _cmd_cp_bound(args) -> tuple[dict, list]:
     from .apps import cp_bound
 
     scenario = load_cp_scenario(args.scenario)
-    report = cp_bound(scenario, args.tol, args.budget)
+    report = _naming(args.scenario, cp_bound, scenario, args.tol, args.budget)
     return dataclasses.asdict(report), [
         (report.core_floor_holds, "core floor failed"),
         (report.m1_floor_holds, "moment floor failed"),

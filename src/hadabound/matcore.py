@@ -552,12 +552,15 @@ def bracket_margin(n: int) -> float:
 NORM_BAND = (2.0**-400, 2.0**500)
 
 
-def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
-    """Scale the blocks of a stack whose norm lies outside NORM_BAND into it, in place.
+def _band_exponents(w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scale the blocks of a complex stack whose norm lies outside NORM_BAND into it, in place.
 
-    Returns each block's binary exponent e: block i was multiplied by 2^-e,
-    and its entry of fro replaced by the new norm; e = 0 for a block left
-    as it is. The band is where the iteration's arithmetic behaves as the
+    Returns (fro, exp): each block's norm after scaling, and its binary
+    exponent e, block i having been multiplied by 2^-e; e = 0 for a block
+    left as it is, and exp is None when every block was. The one band
+    rule for both solvers: _jacobi's and stack_eigvals' order-2 closed
+    form, whose 0.5 (a + d) and 0.5 (a - d) overflow near the largest
+    double. The band is where the iteration's arithmetic behaves as the
     derivation of bracket_margin assumes. For a block with
     2^-400 <= ||W||_F <= 2^500, and eps the machine epsilon:
 
@@ -588,14 +591,18 @@ def _band_exponents(w: np.ndarray, fro: np.ndarray) -> np.ndarray:
     multiplies by 2^e. That is exact too, unless the result falls below
     2^-1022, where it rounds by at most 2^-1075.
     """
+    with np.errstate(over="ignore"):
+        fro = _frobenius(w)
     low, high = NORM_BAND
+    if low <= fro.min() and fro.max() <= high:
+        return fro, None
     out = ~((fro >= low) & (fro <= high))
     exp = np.zeros(w.shape[0], dtype=np.int32)
     parts = w.view(np.float64)
     exp[out] = np.frexp(np.abs(parts[out]).max(axis=(1, 2)))[1]
     parts[out] = np.ldexp(parts[out], -exp[out, None, None])
     fro[out] = _frobenius(w[out])
-    return exp
+    return fro, exp
 
 
 # The unit roundoff and the least positive subnormal double: clears_floor's constants.
@@ -831,11 +838,7 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     of two (see _band_exponents), and its diagonal is scaled back.
     """
     k, n = w.shape[0], w.shape[1]
-    with np.errstate(over="ignore"):
-        fro = _frobenius(w)
-    exp = None
-    if not (NORM_BAND[0] <= fro.min() and fro.max() <= NORM_BAND[1]):
-        exp = _band_exponents(w, fro)
+    fro, exp = _band_exponents(w)
     off_tol = JACOBI_OFF_REL * fro
     skip_tol = off_tol / n
     diag = np.empty((k, n))
@@ -868,21 +871,26 @@ def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
     of one), its principal blocks and Gram matrices of its columns; nothing
     is validated. Orders 1 and 2 use closed forms across the stack, larger
     orders the Jacobi iteration, so row i does not depend on the stack it
-    came in. Every block is solved to convergence.
+    came in. Every block is solved to convergence. As in _jacobi, a block
+    of order 2 whose norm lies outside NORM_BAND is solved scaled by a
+    power of two (see _band_exponents), so its sum and difference of
+    diagonal entries do not overflow, and its eigenvalues are scaled back.
     """
     k, n = blocks.shape[0], blocks.shape[1]
-    if n > 2:
-        diag = _jacobi(np.array(blocks, dtype=np.complex128))
-        return np.sort(diag, axis=1)[:, ::-1].copy()
     if n == 1:
         return np.array(blocks[:, 0].real, dtype=np.float64)
-    a, d = blocks[:, 0, 0].real, blocks[:, 1, 1].real
-    off = blocks[:, 0, 1]
+    w = np.array(blocks, dtype=np.complex128)
+    if n > 2:
+        return np.sort(_jacobi(w), axis=1)[:, ::-1].copy()
+    exp = _band_exponents(w)[1]
+    a, d = w[:, 0, 0].real, w[:, 1, 1].real
+    off = w[:, 0, 1]
     mid = 0.5 * (a + d)
     # |w_01| is np.hypot of its parts; math.hypot rounds differently.
     half, mod = (0.5 * (a - d)).tolist(), np.hypot(off.real, off.imag).tolist()
     rad = np.fromiter(map(math.hypot, half, mod), float, k)
-    return np.array([mid + rad, mid - rad]).T.copy()
+    vals = np.array([mid + rad, mid - rad]).T.copy()
+    return vals if exp is None else np.ldexp(vals, exp[:, None])
 
 
 def eigvals_hermitian(a) -> np.ndarray:

@@ -324,6 +324,28 @@ class TestCpBound:
         assert rep.hadamard_floor == pytest.approx(0.89, abs=1e-12)
         assert rep.lambda_min_core == pytest.approx(0.89, abs=1e-12)
 
+    def test_floors_hold_with_column_norms_off_one_within_tolerance(self):
+        """min diag(B*B) enters the floors: B = Q shrunk by under 1e-9 keeps them tight.
+
+        With orthonormal Q as both loadings the floors are within rounding of
+        the LAPACK eigenvalues; without the diagonal factor they would exceed
+        them by at least 2e-10 mu.
+        """
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            q = np.linalg.qr(rng.standard_normal((d + int(rng.integers(0, 3)), d)))[0]
+            b = q * (1.0 - rng.uniform(1e-10, 9e-10))
+            g = tuple(rng.standard_normal((int(rng.integers(d, d + 3)), d)))
+            s = CpScenario(d=d, a_load=q, b_load=b, g=g)
+            rep = cp_bound(s)
+            parts = cp_m1(s)
+            core = np.linalg.eigvalsh(parts.core.entries)
+            assert rep.hadamard_floor <= core[0] + 1e-13 * core[-1]
+            vals = np.linalg.eigvalsh(parts.factored_form.entries)
+            lam_pos = float(np.min(vals[vals > 1e-9 * vals[-1]]))
+            assert rep.m1_floor <= lam_pos + 1e-13 * vals[-1]
+
     def test_floors_hold_on_random_scenarios(self):
         rng = np.random.default_rng(45)
         applicable = 0

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hadabound import cli
+from hadabound import cli, matcore, submatrix
 from hadabound.cli import dispatch, fixture_path, parse_matrix_text
 from hadabound.errors import MatrixFormatError
 from matrix_files import format_matrix, write_matrix
@@ -412,6 +412,19 @@ class TestScalarCommands:
             "error: entrywise product A o B overflows: it has a NaN or infinite entry\n"
         )
 
+    @pytest.mark.parametrize(
+        "command,flag,results",
+        [("kappa", "--b", {"kappa_eff": 1.0}), ("kruskal", "--a", {"kruskal_rank": 2})],
+    )
+    def test_order_two_diagonal_near_the_largest_double(
+        self, tmp_path, capsys, command, flag, results
+    ):
+        """1e308 I: its closed form is solved inside the norm band, as order 3 is."""
+        path = str(tmp_path / "big.mtx")
+        write_matrix(np.eye(2) * 1e308, path)
+        code, doc = run(capsys, command, flag, path)
+        assert (code, doc["results"]) == (0, {"status": "computed", "reason": None, **results})
+
 
 class TestDerivedMatrices:
     """Products and shifts of accepted inputs are not re-checked for symmetry at their own scale."""
@@ -608,7 +621,18 @@ class TestScenarioCommands:
         code = dispatch(["cp-bound", "--scenario", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == "error: score Gram matrix is numerically zero\n"
+        assert captured.err == f"error: {path}: score Gram matrix is numerically zero\n"
+
+    def test_cp_floors_read_the_diagonal_of_b_star_b(self, tmp_path, capsys):
+        """A column norm just below 1, within CpScenario's tolerance: both floors still hold."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"d": 1, "A_load": [[1.0]], "B_load": [[0.9999999995]],
+                                    "g": [[1.0]]}))
+        code, doc = run(capsys, "cp-bound", "--scenario", str(path))
+        res = doc["results"]
+        assert (code, res["status"]) == (0, "verified")
+        assert res["hadamard_floor"] <= res["lambda_min_core"] == 0.9999999989999999
+        assert res["m1_floor"] <= res["lambda_min_pos_m1"]
 
     def test_doa_without_sources(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -792,8 +816,63 @@ class TestScenarioCommands:
         code = dispatch(["cp-bound", "--scenario", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("error: moment matrix forms disagree by ")
+        assert captured.err.startswith(f"error: {path}: moment matrix forms disagree by ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+class TestRefusalsNameTheInput:
+    """Every refusal of a one-input command names its file once; loaders only parse."""
+
+    EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "command,flag,content,message",
+        [
+            ("kappa", "--b", np.zeros((2, 2)), "matrix is numerically zero"),
+            ("kappa", "--b", np.array([[1.0, 2.0], [2.0, 1.0]]),
+             "matrix must be positive semidefinite; witness eigenvalue -1.000000e+00"),
+            ("doa-bound", "--scenario",
+             {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": [[0.0, 0.0], [0.0, 0.0]]},
+             "source covariance is numerically zero"),
+            ("cp-bound", "--scenario", {"d": 2, "A_load": EYE, "B_load": EYE, "g": [[0.0, 0.0]]},
+             "score Gram matrix is numerically zero"),
+        ],
+        ids=["kappa zero", "kappa not PSD", "doa zero sigma_s", "cp zero scores"],
+    )
+    def test_library_refusals_name_the_file(
+        self, tmp_path, capsys, command, flag, content, message
+    ):
+        path = str(tmp_path / "input")
+        if isinstance(content, dict):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        else:
+            write_matrix(content, path)
+        code = dispatch([command, flag, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_other_library_errors_pass_unnamed(self, monkeypatch):
+        """Only a ValueError is a refusal; a TypeError stays a traceback."""
+
+        def broken(b, tau_rel):
+            raise TypeError("a bug, not an input error")
+
+        monkeypatch.setattr(cli, "effective_condition_number", broken)
+        with pytest.raises(TypeError, match="^a bug, not an input error$"):
+            dispatch(["kappa", "--b", fixture_path("singular_pair_b.mtx")])
+
+    def test_loaders_solve_nothing(self, monkeypatch):
+        def no_solve(blocks):
+            raise AssertionError("a loader solved a spectrum")
+
+        matcore._MEMO.clear()
+        monkeypatch.setattr(matcore, "stack_eigvals", no_solve)
+        monkeypatch.setattr(submatrix, "stack_eigvals", no_solve)
+        doa = cli.load_doa_scenario(fixture_path("doa_coherent_pair.json"))
+        cp = cli.load_cp_scenario(fixture_path("cp_rank_deficient.json"))
+        assert (doa.K, cp.d) == (2, 2)
 
 
 class TestSelftestCommand:

@@ -718,6 +718,30 @@ class TestOutOfBandNorms:
             assert dec.eigenvalues.tobytes() == (ref.eigenvalues * 2.0**shift).tobytes()
             assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
 
+    @pytest.mark.parametrize("diag", [(1.7e308, 1.7e308), (1e308, -1e308)])
+    def test_order_two_diagonals_near_the_largest_double(self, diag):
+        """Their diagonal sum or difference overflows unless solved inside the band."""
+        assert stack_eigvals(np.diag(diag)[None])[0].tolist() == list(diag)
+
+    @pytest.mark.parametrize("shift", [-700, -401, -400, -399, 0, 499, 500, 501, 1020])
+    def test_order_two_power_of_two_scaling_is_exact(self, shift):
+        """A 2x2 block with largest part in [1/2, 1), times 2^k: its spectrum times 2^k.
+
+        The shifts take the blocks' norms, in [1/2, 4), across both edges of
+        NORM_BAND; one stack of them all reads each block's lone solve.
+        """
+        rng = np.random.default_rng(962)
+        blocks = []
+        for _ in range(12):
+            blk = random_hermitian(rng, 2)
+            blk /= 2.0 ** math.frexp(np.abs(blk.view(np.float64)).max())[1]
+            blocks.append(blk * 2.0**shift)
+            expected = stack_eigvals(blk[None])[0] * 2.0**shift
+            assert stack_eigvals(blocks[-1][None])[0].tobytes() == expected.tobytes()
+        vals = stack_eigvals(np.array(blocks))
+        for blk, row in zip(blocks, vals):
+            assert row.tobytes() == stack_eigvals(blk[None])[0].tobytes()
+
     def test_definiteness_above_the_band(self):
         k = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         for scale in (1e160, 1e200):
