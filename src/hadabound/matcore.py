@@ -385,7 +385,9 @@ def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
     Rotations on entries of at most the block's skip_tol cannot move its
     off-diagonal mass above the convergence threshold, so they are skipped.
     v, the eigenvector columns of a stack of one, is rotated with its
-    block's columns.
+    block's columns. w must be C-contiguous, as _jacobi's callers make
+    it: every read and write goes through views of w.reshape(k, n * n),
+    which shares w's memory only then.
 
     Each block works out its own rotation in Python floats and numpy
     scalars. When every block rotates at (p, q), one multiply and one add
@@ -395,6 +397,17 @@ def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
     mixed alone. Either way a block's result does not depend on the stack
     it came in. The views are built here, once per stack, so that a step
     costs the interpreter a few calls whatever k is.
+
+    Per block, a_pq is read from the block's flattened row at offset
+    p n + q, and a_pp and a_qq as the real parts 2 p (n + 1) and
+    2 q (n + 1) of a float64 view of that row. The real coefficient c is
+    written through a float64 view of coef into the real parts of its
+    four slots. coef starts as zeros and nothing writes those slots'
+    imaginary parts, so they stay +0.0: the bits that storing c as a
+    complex number would give. The views change how values are read and
+    written, never the arithmetic: the steps, their (p, q) order and each
+    product's operands are those of the reference sweep the tests keep
+    frozen.
 
     The result is bit-identical to assigning fresh products of copies,
     c * x + (s * phase) * y, because every product keeps its operand order,
@@ -406,17 +419,14 @@ def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
     """
     k, n = w.shape[0], w.shape[1]
     # Per block, the 2x2 coefficients of the column rotation, then of the row rotation.
-    coef = np.empty((k, 2, 2, 2, 1), dtype=np.complex128)
+    coef = np.zeros((k, 2, 2, 2, 1), dtype=np.complex128)
     col_coef, row_coef = coef[:, 0], coef[:, 1]
-    cells = list(coef.reshape(k, 8))
-    rows = [list(block) for block in w]
+    cells = coef.reshape(k, 8)
+    flat = w.reshape(k, n * n)
     tols = skip_tol.tolist()
     prod = np.empty((k, 2, 2, n), dtype=np.complex128)
-    halves = prod[:, :, 0], prod[:, :, 1]
-    alone = [
-        (col_coef[i], row_coef[i], prod[i], (prod[i, :, 0], prod[i, :, 1])) for i in range(k)
-    ]
-    flat = w.reshape(k, n * n)
+    prod_p, prod_q = prod[:, :, 0], prod[:, :, 1]
+    alone = [(col_coef[i], row_coef[i], prod[i], prod[i, :, 0], prod[i, :, 1]) for i in range(k)]
     flat_imag = flat.imag
     wt = w.transpose(0, 2, 1)
     vt = None if v is None else v.T[None]
@@ -428,8 +438,9 @@ def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
             cols, rws = wt[:, pq], w[:, pq]
             vcols = None if vt is None else vt[:, pq]
             steps.append((
-                p,
-                q,
+                p * n + q,
+                2 * p * (n + 1),  # Re w[p, p] in the float64 view
+                2 * q * (n + 1),  # Re w[q, q]
                 cols,
                 cols[:, None],
                 rws,
@@ -439,52 +450,51 @@ def _lockstep(w: np.ndarray, skip_tol: np.ndarray, v: np.ndarray | None = None):
                 vcols,
                 None if vcols is None else vcols[:, None],
             ))
-    blocks = list(zip(range(k), rows, tols, cells))
+    blocks = list(zip(range(k), flat, flat.view(np.float64), tols, cells, cells.view(np.float64)))
 
     def sweep() -> None:
-        for p, q, cols, cols4, rws, rws4, off, diag_imag, vcols, vcols4 in steps:
+        multiply, add = np.multiply, np.add
+        for pq, pp, qq, cols, cols4, rws, rws4, off, diag_imag, vcols, vcols4 in steps:
             turning = []
-            for i, block_rows, tol, cell in blocks:
-                row_p = block_rows[p]
-                apq = row_p[q]
+            for i, entries, parts, tol, cell, cell_parts in blocks:
+                apq = entries[pq]
                 r = float(abs(apq))
                 if r <= tol:
                     continue
                 phase = apq / r
                 phase_conj = np.conj(phase)
-                app = float(row_p[p].real)
-                aqq = float(block_rows[q][q].real)
-                tau = (aqq - app) / (2.0 * r)
+                tau = (float(parts[qq]) - float(parts[pp])) / (2.0 * r)
                 t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
                 # Right multiply by the rotation (columns p and q mix), then
                 # left multiply by its conjugate transpose (rows p and q).
-                cell[0] = cell[3] = cell[4] = cell[7] = c
+                # c is the real part of slots 0, 3, 4 and 7.
+                cell_parts[0] = cell_parts[6] = cell_parts[8] = cell_parts[14] = c
                 cell[1] = s * phase_conj
                 cell[2] = -s * phase
                 cell[5] = s * phase
                 cell[6] = -s * phase_conj
                 turning.append(i)
             if len(turning) == k:
-                np.multiply(col_coef, cols4, out=prod)
-                np.add(*halves, out=cols)
-                np.multiply(row_coef, rws4, out=prod)
-                np.add(*halves, out=rws)
+                multiply(col_coef, cols4, prod)
+                add(prod_p, prod_q, cols)
+                multiply(row_coef, rws4, prod)
+                add(prod_p, prod_q, rws)
                 off.fill(0.0)
                 diag_imag.fill(0.0)
                 if vcols is not None:
-                    np.multiply(col_coef, vcols4, out=prod)
-                    np.add(*halves, out=vcols)
+                    multiply(col_coef, vcols4, prod)
+                    add(prod_p, prod_q, vcols)
                 continue
             for i in turning:
-                col_c, row_c, prod_i, halves_i = alone[i]
+                col_c, row_c, prod_i, prod_ip, prod_iq = alone[i]
                 pair = cols[i]
-                np.multiply(col_c, pair, out=prod_i)
-                np.add(*halves_i, out=pair)
+                multiply(col_c, pair, prod_i)
+                add(prod_ip, prod_iq, pair)
                 pair = rws[i]
-                np.multiply(row_c, pair, out=prod_i)
-                np.add(*halves_i, out=pair)
+                multiply(row_c, pair, prod_i)
+                add(prod_ip, prod_iq, pair)
                 off[i] = 0.0
                 diag_imag[i] = 0.0
 
@@ -822,7 +832,7 @@ def _stack_sweep(w: np.ndarray, skip_tol: np.ndarray) -> None:
 
 
 def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """The cyclic Jacobi iteration on a (k, n, n) complex128 stack, in place.
+    """The cyclic Jacobi iteration on a C-contiguous (k, n, n) complex128 stack, in place.
 
     Returns each block's diagonal at convergence, unsorted. A block has
     converged when, at the start of a sweep, its off-diagonal Frobenius
@@ -835,7 +845,10 @@ def _jacobi(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     stack it came in.
 
     A block whose norm lies outside NORM_BAND is solved scaled by a power
-    of two (see _band_exponents), and its diagonal is scaled back.
+    of two (see _band_exponents), and its diagonal is scaled back. Both
+    that scaling and _lockstep write through views of w that share its
+    memory only when w is C-contiguous, so the callers pass a C-ordered
+    copy: a Fortran-ordered or strided input is solved as its C copy is.
     """
     k, n = w.shape[0], w.shape[1]
     fro, exp = _band_exponents(w)
@@ -879,7 +892,7 @@ def stack_eigvals(blocks: np.ndarray) -> np.ndarray:
     k, n = blocks.shape[0], blocks.shape[1]
     if n == 1:
         return np.array(blocks[:, 0].real, dtype=np.float64)
-    w = np.array(blocks, dtype=np.complex128)
+    w = np.array(blocks, dtype=np.complex128, order="C")
     if n > 2:
         return np.sort(_jacobi(w), axis=1)[:, ::-1].copy()
     exp = _band_exponents(w)[1]
@@ -913,7 +926,7 @@ def eig_hermitian(a) -> SpectralDecomposition:
     """
     am = as_hermitian(a)
     v = np.eye(am.n, dtype=np.complex128)
-    diag = _jacobi(np.array(am.entries)[None], v)[0]
+    diag = _jacobi(np.array(am.entries, order="C")[None], v)[0]
     order = np.argsort(-diag, kind="stable")
     vals = diag[order]
     vecs = v[:, order]

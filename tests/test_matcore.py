@@ -57,6 +57,13 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (m + m.conj().T) / 2.0
 
 
+def complex_gram(rng, rows, n):
+    """F* F, exactly Hermitian, for a (rows, n) complex normal frame F: PSD of rank min(rows, n)."""
+    f = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    g = f.conj().T @ f
+    return (g + g.conj().T) / 2.0
+
+
 class TestHermitianMatrix:
     def test_accepts_real_symmetric(self):
         h = HermitianMatrix(A)
@@ -661,6 +668,67 @@ class TestSolveSpectra:
             carriers[0].eigenvalues
 
 
+class TestMemoryLayout:
+    """Fortran-ordered, transposed and strided inputs read the bits of their C-ordered copies."""
+
+    @staticmethod
+    def layouts(a):
+        """Three arrays equal to a, none of them C-contiguous."""
+        big = np.zeros((2 * len(a), 2 * len(a)), dtype=np.complex128)
+        big[::2, ::2] = a
+        odd = [np.asfortranarray(a), a.T.copy().T, big[::2, ::2]]
+        assert all(np.array_equal(x, a) and not x.flags.c_contiguous for x in odd)
+        return odd
+
+    @staticmethod
+    def grams(n):
+        """Complex PSD Grams of order n from default_rng(1): of full rank and of rank n // 2."""
+        rng = np.random.default_rng(1)
+        return [complex_gram(rng, rows, n) for rows in (n, n // 2)]
+
+    @pytest.mark.parametrize("n", [3, 12, 24])
+    def test_every_entry_point_reads_the_c_bits(self, monkeypatch, n):
+        judged = []
+        real = matcore._psd_class
+
+        def judging(vals, tau_rel):
+            judged.append(vals)
+            return real(vals, tau_rel)
+
+        monkeypatch.setattr(matcore, "_psd_class", judging)
+        for a in self.grams(n):
+            want = stack_eigvals(a[None])[0].tobytes()
+            dec = eig_hermitian(a)
+            matcore._MEMO.clear()
+            held = eigvals_hermitian(a).tobytes()
+            assert held == want
+            verdict = matcore.is_psd(a)
+            for x in self.layouts(a):
+                assert stack_eigvals(x[None])[0].tobytes() == want
+                odd = eig_hermitian(x)
+                assert odd.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+                assert odd.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+                matcore._MEMO.clear()
+                assert eigvals_hermitian(x).tobytes() == want
+                judged.clear()
+                assert matcore.is_psd(x) is verdict
+                assert all(vals.tobytes() == want for vals in judged)
+        matcore._MEMO.clear()
+
+    def test_a_fortran_ordered_stack(self):
+        mats = self.grams(12)
+        want = stack_eigvals(np.array(mats))
+        stack = np.asfortranarray(np.array(mats))
+        assert not stack.flags.c_contiguous
+        assert stack_eigvals(stack).tobytes() == want.tobytes()
+
+    def test_out_of_band_fortran_stack(self):
+        m = np.diag([1e300, 2e300, 3e300]).astype(np.complex128)
+        m[0, 1] = m[1, 0] = 1e299
+        want = stack_eigvals(m[None]).tobytes()
+        assert stack_eigvals(np.asfortranarray(m)[None]).tobytes() == want
+
+
 class TestOutOfBandNorms:
     """Blocks whose squared norm overflows or underflows, scaled by a power of two."""
 
@@ -858,6 +926,24 @@ class TestScalarSweepReference:
 
     def kinds(self, n):
         return self.KINDS if n <= 17 else self.LARGE_KINDS
+
+    @staticmethod
+    def dense_pair(rng, n):
+        """As the dense benchmark draws them: a PSD Gram of rank n // 2, and its
+        entrywise product with a full-rank PSD Gram of 2n rows."""
+        a, b = (complex_gram(rng, rows, n) for rows in (n // 2, 2 * n))
+        return a, a * b
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dense_kinds_match_the_reference(self, n):
+        """Alone and in one stack, whose blocks leave at different sweeps."""
+        mats = self.dense_pair(np.random.default_rng(1960 + n), n)
+        want = [np.sort(reference_solve(a, vectors=False)[0])[::-1] for a in mats]
+        kinds = ("rank_deficient", "product")
+        for kind, a, row in zip(kinds, mats, want):
+            self.assert_bits(stack_eigvals(a[None])[0], row, (kind, n))
+        for kind, got, row in zip(kinds, stack_eigvals(np.array(mats)), want):
+            self.assert_bits(got, row, (kind, n, "stacked"))
 
 
 def lapack_least(block, uplo="L"):
