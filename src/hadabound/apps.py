@@ -130,18 +130,17 @@ def smoothed_cov_direct(scenario: DoaScenario) -> HermitianMatrix:
     """
     phases = np.exp(1j * np.asarray(scenario.omega))
     sig = scenario.sigma_s.entries
-    total = np.zeros_like(sig)
-    for p in range(scenario.P):
-        left = phases**p
-        total = total + (left[:, None] * sig) * np.conj(left)[None, :]
-    return HermitianMatrix(total)
+    # Lazy, so that every term is formed and summed under derived's errstate.
+    lefts = (phases**p for p in range(scenario.P))
+    terms = ((left[:, None] * sig) * np.conj(left)[None, :] for left in lefts)
+    return HermitianMatrix.derived("smoothed covariance", lambda: sum(terms, np.zeros_like(sig)))
 
 
 def smoothed_cov_hadamard(scenario: DoaScenario) -> HermitianMatrix:
     """Entrywise form: sigma_s o conj(V_P* V_P) with V_P the P-row steering block."""
     v = build_steering(scenario.P, scenario.omega)
-    gram = v.conj().T @ v
-    return HermitianMatrix(scenario.sigma_s.entries * np.conj(gram))
+    gram = np.conj(v.conj().T @ v)
+    return HermitianMatrix.derived("smoothed covariance", lambda: scenario.sigma_s.entries * gram)
 
 
 @dataclasses.dataclass(frozen=True)

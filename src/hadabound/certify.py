@@ -122,7 +122,7 @@ def quantitative_bound(
     product = hadamard(am, bm)
     actual = float(eigvals_hermitian(product)[-1])
     quantitative = mu * min_diag / kappa
-    diag_b = HermitianMatrix(np.diag(bm.entries.diagonal()))
+    diag_b = HermitianMatrix.derived("diagonal of B", lambda: np.diag(bm.entries.diagonal()))
     verified = loewner_check(product, mu / kappa, diag_b, tau_rel)
     return BoundReport(
         n=n,

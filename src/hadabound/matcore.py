@@ -23,7 +23,9 @@ stacks, works out the rotations as arrays and assigns fresh products.
 Both keep every complex coefficient the left operand of its product,
 because numpy's complex multiply may be fused and is then not symmetric
 in the last bit. A block whose squared norm would overflow or underflow
-is solved scaled by an exact power of two and scaled back.
+is solved scaled by an exact power of two and scaled back; one band rule,
+_band_exponents', decides that, and scaled_into_band applies it to the
+inputs whose column Grams the subset scans form.
 
 Every decision that a block needs no solve goes through one stacked
 Cholesky kernel instead. least_pivots runs a floating-point complex
@@ -34,9 +36,10 @@ exact lambda_min lies above the floor. rayleigh_guesses runs a few steps
 of inverse iteration on that factor, so that a scan can guess its
 least block before it solves any. The kernel is plain numpy, vectorized
 across a stack, so LAPACK stays the tests' independent oracle.
-bracket_margin bridges the proof to the converged solve: is_psd, the
-subset minimum scans and the Kruskal levels each drop a block only where
-its converged result could not change their answer.
+solve_slack, bracket_margin(m) ||W||_F per block, bridges the proof to
+the converged solve: is_psd, the subset minimum scans and the Kruskal
+levels each read it, and drop a block only where its converged result
+could not change their answer.
 
 Results that depend on a matrix's content alone are solved once per
 content: a carrier's spectrum here, and the subset minimum mu of
@@ -156,17 +159,20 @@ class HermitianMatrix:
 
     @classmethod
     def derived(cls, what: str, compute) -> HermitianMatrix:
-        """Carrier of compute(), the entrywise product or difference `what` of carriers.
+        """Carrier of compute(), the matrix `what` derived from accepted carriers.
 
-        Its operands passed the symmetry test, each at its own scale (or, for
-        a projection factor or a block of a split projection,
-        is_orthogonal_projection's test). Their asymmetries carry over and may
-        exceed the tolerance at the result's scale: A o B adds its factors'
-        asymmetries, A - cI has a smaller largest entry than A, and the
-        projection test allows an asymmetry up to its own tol. So that test
-        is not run again. Finite operands can still overflow; compute() runs
-        with numpy's overflow warnings off and its result is checked for
-        finiteness, under a message naming what.
+        Such a matrix is an entrywise product with a carrier, a difference
+        of carriers, the diagonal of one, or a sum of unitary congruences of
+        one (the smoothed covariance). Its operands passed the symmetry
+        test, each at its own scale (or, for a projection factor or a block
+        of a split projection, is_orthogonal_projection's test). Their
+        asymmetries carry over and may exceed the tolerance at the result's
+        scale: A o B adds its factors' asymmetries, A - cI and diag(B) can
+        have a smaller largest entry than A and B, and the projection test
+        allows an asymmetry up to its own tol. So that test is not run again. Finite
+        operands can still overflow; compute() runs with numpy's overflow
+        warnings off and its result is checked for finiteness, under a
+        message naming what.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             arr = compute()
@@ -559,6 +565,19 @@ def bracket_margin(n: int) -> float:
     return JACOBI_OFF_REL + 64.0 * JACOBI_MAX_SWEEPS * n * n * float(np.finfo(float).eps)
 
 
+def solve_slack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||W||_F, bracket_margin(m) ||W||_F) of each block W of a (k, m, m) stack.
+
+    The one bridge from a proof to a skipped solve: a converged solve of W
+    returns each eigenvalue within the slack of the exact one (see
+    bracket_margin). The norm is _frobenius', the solver's own; a norm that
+    overflows reads inf, and clears_floor clears no such block.
+    """
+    with np.errstate(over="ignore"):
+        fro = _frobenius(stack)
+    return fro, bracket_margin(stack.shape[1]) * fro
+
+
 NORM_BAND = (2.0**-400, 2.0**500)
 
 
@@ -600,6 +619,22 @@ def _band_exponents(w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     eigenvalues with the accuracy of an in-band solve, and the caller
     multiplies by 2^e. That is exact too, unless the result falls below
     2^-1022, where it rounds by at most 2^-1075.
+
+    The same rule scales the inputs whose column Grams the subset scans
+    form (scaled_into_band), so that those Grams neither overflow nor lose
+    bits to underflow. For an r x c input with 2^-400 <= ||X||_F <= 2^500:
+
+    - no Gram entry overflows. By Cauchy-Schwarz every entry of X^* X, and
+      every partial sum a matmul kernel forms of it, is at most
+      ||X||_F^2 <= 2^1000. The solver scales each Gram block whose own
+      norm leaves the band.
+    - underflow costs less than the Gram's own rounding. A product below
+      2^-1022 is off by at most 2^-1075, so each entry gains at most
+      4 r 2^-1075 and a Gram of c columns at most c r 2^-1073 in norm.
+      Its largest entry is at least its trace over c, ||X||_F^2 / c, so
+      the rounding of that entry, about r eps ||X||_F^2 / c >= r 2^-852 / c,
+      is larger for c < 2^110; no budget admits a scan over that many
+      columns.
     """
     with np.errstate(over="ignore"):
         fro = _frobenius(w)
@@ -613,6 +648,20 @@ def _band_exponents(w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     parts[out] = np.ldexp(parts[out], -exp[out, None, None])
     fro[out] = _frobenius(w[out])
     return fro, exp
+
+
+def scaled_into_band(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e arr, e): a complex matrix scaled by _band_exponents' rule, before its Grams are formed.
+
+    arr itself and e = 0 when ||arr||_F lies in NORM_BAND (or arr is zero);
+    otherwise a C-ordered copy, with its largest real or imaginary part in
+    [1/2, 1). A power of two scales exactly, so the Grams of the result are
+    4^-e times the input's, with eigenvalues 4^-e lambda and singular
+    values 2^-e sigma.
+    """
+    w = np.array(arr, dtype=np.complex128, order="C")[None]
+    exp = _band_exponents(w)[1]
+    return (arr, 0) if exp is None else (w[0], int(exp[0]))
 
 
 # The unit roundoff and the least positive subnormal double: clears_floor's constants.
@@ -991,9 +1040,7 @@ def is_psd(a, tau_rel: float = DEFAULT_TOL_REL) -> bool:
     _psd_class owns for both.
     """
     stack = as_hermitian(a).entries[None]
-    with np.errstate(over="ignore"):
-        slack = bracket_margin(stack.shape[1]) * _frobenius(stack)
-    if clears_floor(stack, slack)[0]:
+    if clears_floor(stack, solve_slack(stack)[1])[0]:
         return True
     return _psd_class(stack_eigvals(stack)[0], tau_rel).is_psd
 

@@ -66,6 +66,8 @@ from .matcore import (
     rank_numeric,
     rayleigh_guesses,
     require_psd,
+    scaled_into_band,
+    solve_slack,
     solved_once,
     stack_eigvals,
     tol_for,
@@ -74,9 +76,6 @@ from .matcore import (
 DEFAULT_BUDGET = 2_000_000
 # Largest stack one scan solves at once; bounds the scan's memory.
 SCAN_CHUNK_MAX = 256
-# An input whose largest part lies outside this band is scaled into it
-# before any Gram of its columns is formed; see _gram_scaled.
-GRAM_BAND = (2.0**-500, 2.0**480)
 
 
 def check_budget(n: int, m: int, budget: int) -> None:
@@ -141,17 +140,6 @@ def _solve(stack: np.ndarray):
         return (stack_eigvals(block[None])[0] for block in stack)
 
 
-def _slack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(||W||_F, bracket_margin(m) ||W||_F) of each block W of a (k, m, m) stack.
-
-    A converged solve of W returns each eigenvalue within the slack of the
-    exact one (the bridge in matcore.bracket_margin's docstring).
-    """
-    with np.errstate(over="ignore"):
-        fro = np.linalg.norm(stack, axis=(1, 2))
-    return fro, bracket_margin(stack.shape[1]) * fro
-
-
 # The incumbent's second pass (see _incumbent): it factors the blocks whose
 # first-pass quotient is at most g + SECOND_REACH |g|, g the least, at the
 # floor g - SECOND_FLOOR |g|, and runs only when at least SECOND_COUNT
@@ -210,7 +198,8 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
 
     best, the least (value, subset) solved so far, is carried across
     chunks, so equal values keep the first subset. Each chunk is screened
-    before its solve, with slack = matcore.bracket_margin(m) ||W||_F:
+    before its solve, with matcore.solve_slack's slack = bracket_margin(m)
+    ||W||_F:
 
     - once best is finite, every block that clears_floor proves above
       best + slack, a floor of either sign, is dropped first: by the
@@ -238,7 +227,7 @@ def _least_block(n: int, m: int, budget: int, blocks) -> tuple[float, tuple[int,
     """
     best = (math.inf, ())
     for chunk, stack in _chunks(n, m, budget, blocks, whole=True):
-        fro, slack = _slack(stack)
+        fro, slack = solve_slack(stack)
         if best[0] < math.inf:
             keep = ~clears_floor(stack, best[0] + slack)
             if not keep.any():
@@ -277,41 +266,6 @@ def _gram_blocks(arr: np.ndarray):
         return x.conj().transpose(0, 2, 1) @ x
 
     return blocks
-
-
-def _gram_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-e arr, e): the input scaled so that the Grams of its columns stay exact enough.
-
-    e = 0, and arr is returned as it is, when its largest real or imaginary
-    part t lies in GRAM_BAND or is zero. For an input with r rows, eps the
-    machine epsilon and 2^-500 <= t <= 2^480:
-
-    - no Gram entry overflows. Each is a sum of 4r real products, each at
-      most t^2, so it and every partial sum a matmul kernel forms are below
-      4r 2^960 < 2^1024 for r < 2^62. The eigensolver scales a Gram whose
-      norm leaves its own band (matcore.NORM_BAND), so the solve needs no
-      more.
-    - underflow costs less than the Gram's own rounding. A product below
-      2^-1022 is off by at most 2^-1075, so each entry of a Gram of c
-      columns gains at most r 2^-1073, and its norm at most c r 2^-1073.
-      The rounding bound of a computed Gram's largest entries, about
-      r eps t^2 >= r 2^-1052, is larger for c < 2^21; no budget admits a
-      scan over that many columns.
-
-    Outside the band, at t = 1e155 a square t^2 overflows to inf, at 1e-155
-    it is subnormal with bits lost, and at 1e-170 the Gram vanishes. Such an
-    input is multiplied by 2^-e with 2^(e-1) <= t < 2^e, so its largest part
-    lies in [1/2, 1). A power of two scales exactly (a part falling below
-    2^-1022 rounds by at most 2^-1075, as a product would), so the scaled
-    Grams are 4^-e times the input's, with eigenvalues 4^-e lambda and
-    singular values 2^-e sigma.
-    """
-    parts = np.ascontiguousarray(arr).view(np.float64)
-    top = float(np.abs(parts).max())
-    if top == 0.0 or GRAM_BAND[0] <= top <= GRAM_BAND[1]:
-        return arr, 0
-    e = math.frexp(top)[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,10 +347,10 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     inputs, indefinite Hermitian ones included, use eigenvalues of
     column-subset Gram matrices, judged by tol_for against the largest
     eigenvalue of the full Gram matrix; an input whose Grams would
-    overflow or underflow is first scaled by a power of two (see
-    _gram_scaled), which scales that eigenvalue and the threshold alike.
-    Both rules are relative with no absolute floor, so kruskal_rank(2^k V)
-    is kruskal_rank(V). A zero column yields 0.
+    overflow or underflow is first scaled by a power of two, by the one
+    band rule (matcore.scaled_into_band), which scales that eigenvalue and
+    the threshold alike. Both rules are relative with no absolute floor,
+    so kruskal_rank(2^k V) is kruskal_rank(V). A zero column yields 0.
 
     The two paths decide on different scales: kruskal_rank(diag(1e3,
     1e-2)) is 2 but kruskal_rank(diag(1e3, -1e-2)) is 0. The Gram path
@@ -446,12 +400,12 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
     A block W is dependent when a converged solve gives lambda_min <=
     threshold(lambda_max), with threshold nondecreasing. On either path a
     level first drops every block that clears_floor proves above
-    threshold(U) + slack, with slack = matcore.bracket_margin(q) ||W||_F
-    and U = ||W||_F + slack, which bounds every eigenvalue a converged
-    solve of W can return. A converged lambda_min lies within the slack of
-    the exact one (the bridge in bracket_margin's docstring), so a dropped
-    block would leave the solve with lambda_min > threshold(U) >=
-    threshold(lambda_max): independent. Only the rest are solved, each to
+    threshold(U) + slack, with matcore.solve_slack's slack =
+    bracket_margin(q) ||W||_F and U = ||W||_F + slack, which bounds every
+    eigenvalue a converged solve of W can return. A converged lambda_min
+    lies within the slack of the exact one (the bridge in bracket_margin's
+    docstring), so a dropped block would leave the solve with lambda_min >
+    threshold(U) >= threshold(lambda_max): independent. Only the rest are solved, each to
     convergence, and a level draws no chunk after its first dependent
     block.
     """
@@ -480,7 +434,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
             in_band = NORM_BAND[0] <= top and norm <= NORM_BAND[1]
             return in_band and low <= threshold(top - margin)
     else:
-        arr, _ = _gram_scaled(arr)
+        arr, _ = scaled_into_band(arr)
         gram = HermitianMatrix(arr.conj().T @ arr)
         tau = tol_for(eigvals_hermitian(gram)[0], tau_rel)
         blocks = _gram_blocks(arr)
@@ -492,7 +446,7 @@ def kruskal_rank(mat, tau_rel: float = DEFAULT_TOL_REL, budget: int = DEFAULT_BU
             check_budget(n_cols, q, budget)  # where the level's draw would check it
             return False
         for _, stack in _chunks(n_cols, q, budget, blocks, whole=q == rank):
-            fro, slack = _slack(stack)
+            fro, slack = solve_slack(stack)
             # U = fro + slack bounds every eigenvalue a converged solve can return.
             spectra = _solve(stack[~clears_floor(stack, threshold(fro + slack) + slack)])
             if any(vals[-1] <= threshold(vals[0]) for vals in spectra):
@@ -544,11 +498,11 @@ def min_subset_singular_value(v, m: int, budget: int = DEFAULT_BUDGET) -> float:
     """Minimum over all m-column subsets of the smallest singular value.
 
     Singular values come from eigenvalues of the m x m Gram matrix of the
-    selected columns, of the input scaled by 2^-e (see _gram_scaled);
-    negative rounding noise is clamped at zero before the square root, and
-    the result is scaled back by 2^e.
+    selected columns, of the input scaled by 2^-e by the one band rule
+    (matcore.scaled_into_band); negative rounding noise is clamped at zero
+    before the square root, and the result is scaled back by 2^e.
     """
-    arr, e = _gram_scaled(finite_matrix(v, square=False))
+    arr, e = scaled_into_band(finite_matrix(v, square=False))
     n_cols = arr.shape[1]
     if not 1 <= m <= n_cols:
         raise ValueError(f"subset size {m} must lie in [1, {n_cols}]")

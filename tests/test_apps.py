@@ -7,6 +7,7 @@ from that.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from hadabound.apps import (
     smoothed_cov_direct,
     smoothed_cov_hadamard,
 )
-from hadabound.errors import BudgetExceededError, DimensionError, NotPsdError
+from hadabound.errors import (
+    BudgetExceededError,
+    DimensionError,
+    HermitianityError,
+    NonFiniteError,
+    NotPsdError,
+)
 from hadabound.generators import random_cp_scenario, random_doa_scenario
 
 COHERENT_PAIR = dict(
@@ -115,6 +122,23 @@ class TestDoaScenario:
             hada = smoothed_cov_hadamard(s)
             assert float(np.max(np.abs(direct.entries - hada.entries))) < 1e-10
 
+    def test_smoothed_forms_of_an_accepted_sigma_s_are_not_checked_again(self):
+        """Each form adds sigma_s's asymmetry over P terms; it is not judged at its own scale."""
+        sig = np.array([[1.0 + 5.000000005e-13j, 1.000000001], [1.000000001, 1.0]])
+        s = coherent_scenario(sigma_s=sig)
+        direct, hada = smoothed_cov_direct(s), smoothed_cov_hadamard(s)
+        with pytest.raises(HermitianityError):
+            matcore.HermitianMatrix(direct.entries)
+        assert float(np.max(np.abs(direct.entries - hada.entries))) < 1e-14
+
+    def test_overflowing_smoothed_covariance_is_named(self):
+        s = coherent_scenario(sigma_s=np.eye(2) * 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as err:
+                smoothed_cov_direct(s)
+        assert str(err.value) == "smoothed covariance overflows: it has a NaN or infinite entry"
+
     def test_single_subarray_is_identity_smoothing(self):
         s = coherent_scenario(P=1)
         direct = smoothed_cov_direct(s)
@@ -136,6 +160,12 @@ class TestDoaBound:
         assert rep.bound_holds
         assert rep.positivity_predicted
         assert rep.bound_positive
+
+    def test_near_hermitian_sigma_s_reaches_its_verdict(self):
+        """sigma_s is accepted at its own scale; the smoothed covariance is not judged again."""
+        sig = np.array([[1.0 + 5.000000005e-13j, 1.000000001], [1.000000001, 1.0]])
+        rep = doa_bound(coherent_scenario(sigma_s=sig))
+        assert rep.bound_holds and rep.positivity_predicted
 
     def test_bound_grows_with_frequency_separation(self):
         gaps = [0.2, 0.4, 0.6, 0.8, 1.0]

@@ -176,6 +176,18 @@ class TestQuantitativeBound:
             lam = float(np.linalg.eigvalsh(a * b)[0])
             assert rep.quantitative_bound <= lam + 1e-8
 
+    def test_diagonal_of_an_accepted_b_is_not_checked_again(self):
+        """diag(B) has a smaller largest entry than B, so B's accepted asymmetry exceeds its tol.
+
+        B is PSD and singular; its b00's imaginary part puts B's asymmetry
+        just under the symmetry tolerance at B's scale, and above it at
+        diag(B)'s.
+        """
+        b = np.array([[1.0 + 5.000000005e-13j, 1.000000001], [1.000000001, 1.0]])
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert classify_psd(b).kind is PsdKind.POSITIVE_SEMIDEFINITE_SINGULAR
+        assert quantitative_bound(a, b).loewner_verified
+
 
 class TestNonsingularityPredicate:
     def test_golden_pair_holds(self):

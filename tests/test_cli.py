@@ -192,6 +192,16 @@ class TestBoundCommand:
         assert (code, captured.out) == (2, "")
         assert "C(7,4) = 35 subsets exceeds the budget of 34" in captured.err
 
+    def test_diagonal_of_an_accepted_b_is_not_checked_again(self, tmp_path, capsys):
+        """B passes kappa at its own scale, so bound takes diag(B) without a second check."""
+        a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        write_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]), a_path)
+        write_matrix(np.array([[1.0 + 5.000000005e-13j, 1.000000001], [1.000000001, 1.0]]), b_path)
+        assert dispatch(["kappa", "--b", b_path]) == 0
+        capsys.readouterr()
+        code, doc = run(capsys, "bound", "--a", a_path, "--b", b_path)
+        assert (code, doc["results"]["status"]) == (0, "verified")
+
     def test_operand_sizes_must_agree(self, tmp_path, capsys):
         a_path, b_path = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
         write_matrix(A, a_path)
@@ -723,6 +733,29 @@ class TestScenarioCommands:
         assert dispatch(["doa-bound", "--scenario", str(path), *tol]) == code
         err = capsys.readouterr().err
         assert err == ("" if code == 0 else f"error: {path}: {self.NOT_PSD_ERR}{low:.6e}\n")
+
+    def test_doa_near_hermitian_sigma_s_is_judged(self, tmp_path, capsys):
+        """The smoothed covariance derived from an accepted sigma_s is not checked again."""
+        path = tmp_path / "s.json"
+        sigma_s = [[[1.0, 5.000000005e-13], 1.000000001], [1.000000001, 1.0]]
+        doc = {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": sigma_s}
+        path.write_text(json.dumps(doc))
+        code, doc = run(capsys, "doa-bound", "--scenario", str(path))
+        assert (code, doc["results"]["status"]) == (0, "verified")
+
+    def test_doa_overflowing_smoothed_covariance_is_named(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        sigma_s = (np.eye(2) * 1e308).tolist()
+        doc = {"N": 4, "K": 2, "P": 2, "omega": [-0.5, 0.7], "sigma_s": sigma_s}
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["doa-bound", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: {path}: smoothed covariance overflows: it has a NaN or infinite entry\n"
+        )
 
     def test_malformed_json_carries_location(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -298,7 +298,7 @@ class TestKruskalRank:
             mat = kruskal_input(rng, kind)
             assert kruskal_rank(mat) == upward_kruskal_rank(mat)
 
-    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200, 1e300, 2.0**490, 2.0**-450])
     def test_gram_path_above_the_band(self, scale):
         """Every 3 columns of a generic 3x5 matrix are independent, at any scale."""
         f = np.random.default_rng(0).normal(size=(3, 5))
@@ -309,7 +309,7 @@ class TestKruskalRank:
     def test_gram_path_has_no_absolute_floor(self):
         """A Gram far below unit scale, or below the band, keeps the unscaled answer."""
         f = np.random.default_rng(0).normal(size=(3, 5))
-        for scale in (1e-5, 1e-170, 1e-300):
+        for scale in (1e-5, 1e-170, 1e-300, 2.0**490, 2.0**-450):
             assert kruskal_rank(f * scale) == kruskal_rank(f) == 3
 
 
@@ -415,7 +415,7 @@ class TestMinSubsetSingularValue:
             mine = min_subset_singular_value(f, 3)
         assert mine == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("shift", [-700, -520, 490, 700])
+    @pytest.mark.parametrize("shift", [-700, -520, -450, -420, 490, 700])
     def test_power_of_two_scaling_is_exact(self, shift):
         """Largest part in [1/2, 1), times 2^k outside the band: the value times 2^k."""
         rng = np.random.default_rng(26)
